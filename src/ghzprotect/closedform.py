@@ -2,11 +2,12 @@
 
 Two evaluation modes exist on purpose.  ``VERBATIM`` computes the compact
 printed expressions for the total probability, fidelity, and Fisher
-information.  ``APPENDIX_AGGREGATED`` rebuilds the same aggregates from
-the per-class matrix elements (the structured engine's algebra in the
-two-sided-multiplication convention).  The two agree everywhere except for
-a known inconsistency in the Fisher aggregate's k=0 and k=N denominators,
-which is surfaced as a measurable gap rather than papered over.
+information.  ``APPENDIX_AGGREGATED`` takes the structured engine's
+aggregates in the two-sided-multiplication convention: binomial-collapsed
+probability and fidelity, and the per-class sum for the information.  The
+two agree everywhere except for a known inconsistency in the Fisher
+aggregate's k=0 and k=N denominators, which is surfaced as a measurable
+gap rather than papered over.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def prob_total(
         ((r e^{i eta} + (1-r) e^{-i eta}) sin^2(theta/2)
           + e^{i eta} cos^2(theta/2))^N;
 
-    APPENDIX_AGGREGATED sums the per-class weights with multiplicities.
+    APPENDIX_AGGREGATED takes the structured engine's total weight, the
+    binomial collapse of the per-class weights with multiplicities.
     """
     if variant is FormulaVariant.APPENDIX_AGGREGATED:
         total, _, _ = aggregate_complex(p, Convention.PAPER)
@@ -121,8 +123,9 @@ def fid_total(
       + 2 |alpha beta|^2 r^N e^{iN eta} v^N
       + 2^{N+1} |alpha beta|^2 (1-r)^{N/2} sin^N(theta) / 2^N
 
-    divided by the total weight; APPENDIX_AGGREGATED rebuilds the same
-    ratio from per-class elements.  Raises on vanishing total weight.
+    divided by the total weight; APPENDIX_AGGREGATED takes the structured
+    engine's fidelity, whose numerator is the binomial collapse of the
+    per-class elements.  Raises on vanishing total weight.
     """
     if variant is FormulaVariant.APPENDIX_AGGREGATED:
         _, fid, _ = aggregate_complex(p, Convention.PAPER)

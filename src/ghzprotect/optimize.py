@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .closedform import eta_opt_probability, metrics_closedform
+from .closedform import metrics_closedform
 from .dense import aggregate_metrics_dense, do_nothing_baseline
 from .params import (
     TWO_PI,
@@ -121,7 +121,10 @@ class OptResult:
     path of the requested engine at ``(theta_star, eta_star)``, so it
     always equals the corresponding field of ``companion`` exactly.
     ``on_boundary`` flags an optimum sitting on an edge of the original
-    search ranges (range clipping rather than an interior peak).
+    search ranges (range clipping rather than an interior peak); the
+    rotation range counts only where the objective depends on the angle,
+    so never for the unit-probability search, which pins it to zero, nor
+    for physical-convention probability or information.
     ``baseline`` carries the no-protection reference row when the result
     was produced by a sweep.
     """
@@ -316,8 +319,11 @@ def maximize_metric(
             best = candidate
 
     assert best is not None
+    eta_matters = (
+        convention is not Convention.PHYSICAL or objective is Objective.FIDELITY
+    )
     return _finalize(
-        objective, r, p_base, best[1], best[2], grid, engine, convention
+        objective, r, p_base, best[1], best[2], grid, engine, convention, eta_matters
     )
 
 
@@ -330,8 +336,13 @@ def _finalize(
     grid: GridSpec,
     engine: Engine,
     convention: Convention,
+    eta_matters: bool,
 ) -> OptResult:
-    """Re-evaluate the incumbent through the scalar path and package it."""
+    """Re-evaluate the incumbent through the scalar path and package it.
+
+    ``eta_matters`` says whether the objective depends on the rotation
+    angle; only then can the rotation range clip the optimum.
+    """
     p_star = dataclasses.replace(
         p_base, theta=theta_star, eta=eta_star, r=r, extended_theta=True
     )
@@ -343,7 +354,9 @@ def _finalize(
     }[objective]
     th_lo, th_hi, _ = grid.theta_range
     et_lo, et_hi, _ = grid.eta_range
-    on_boundary = theta_star in (th_lo, th_hi) or eta_star in (et_lo, et_hi)
+    on_boundary = theta_star in (th_lo, th_hi) or (
+        eta_matters and eta_star in (et_lo, et_hi)
+    )
     return OptResult(
         r=r,
         objective=objective,
@@ -366,9 +379,11 @@ def maximize_fidelity_at_unit_probability(
 ) -> OptResult:
     """Best fidelity among deterministic protocol settings.
 
-    The rotation angle is pinned to the probability-unity value (zero for
-    every decay level and measurement strength), the measurement angle is
-    swept, and only grid points with ``|probability - 1| < 1e-9`` compete.
+    The rotation angle is pinned to zero, the probability-unity value at
+    every decay level and measurement strength (the identity that
+    :func:`~ghzprotect.closedform.eta_opt_probability` evaluates), the
+    measurement angle is swept, and only grid points with
+    ``|probability - 1| < 1e-9`` compete.
     """
     r = _check_r(r)
     _check_engine_convention(engine, convention)
@@ -384,7 +399,7 @@ def maximize_fidelity_at_unit_probability(
             th_width *= grid.refine_shrink
             th_window = _window(best[1], th_width, th_lo, th_hi)
         thetas = np.linspace(th_window[0], th_window[1], th_steps)
-        etas = np.array([eta_opt_probability(r, float(t)) for t in thetas])
+        etas = np.zeros_like(thetas)
         prob, fid, _ = _grid_values_paired(p_base, r, thetas, etas, engine, convention)
         feasible = np.abs(prob - 1.0) < UNIT_PROBABILITY_TOL
         if iteration == 0 and not bool(np.any(feasible & np.isfinite(fid))):
@@ -405,7 +420,8 @@ def maximize_fidelity_at_unit_probability(
             "no grid point reaches unit probability within 1e-9"
         )
     result = _finalize(
-        Objective.FIDELITY, r, p_base, best[1], best[2], grid, engine, convention
+        Objective.FIDELITY, r, p_base, best[1], best[2], grid, engine, convention,
+        eta_matters=False,
     )
     if abs(result.companion.probability - 1.0) >= UNIT_PROBABILITY_TOL:
         raise ConstraintInfeasibleError(

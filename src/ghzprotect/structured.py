@@ -11,6 +11,7 @@ O(4^N), which is what makes thousand-qubit registers tractable.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,10 +27,13 @@ from ghzprotect.params import (
     validate_params,
 )
 
-_DEGENERACY_TOL = 1e-14
-# The vectorized grid rounds differently from the scalar path at the last
-# bit, so its degeneracy masks stay ten times clear of the scalar cutoff.
-_GRID_DEGENERACY_TOL = 10.0 * _DEGENERACY_TOL
+_DEGENERACY_TOL = 1e-13
+#: Below this, corner populations have underflowed and their class is
+#: dropped unless it is a pole, as the dense engine drops such branches.
+_UNDERFLOW_TOL = 1e-14
+#: Most (class, point) values one QFI block holds: a scalar call takes all
+#: classes at once, a 181x181 grid one class at a time.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -235,56 +239,24 @@ def aggregate_complex(
 ) -> tuple[complex, complex, complex]:
     """Unrealized (complex) aggregates: (probability, fidelity, qfi).
 
-    Sums multiplicity-weighted class contributions in ascending k with
-    compensated (exact float) summation.  Aggregates are complex under the
-    two-sided-multiplication convention; :func:`aggregate_metrics` wraps
-    this and realizes the real parts.
+    The 0-d call of the kernel behind :func:`metrics_grid`, raising
+    :class:`DegeneracyError` wherever that kernel returns NaN.  Aggregates
+    are complex under the two-sided-multiplication convention;
+    :func:`aggregate_metrics` wraps this and realizes the real parts.
     """
     validate_params(p, max_qubits=max_qubits)
-    n = p.n_qubits
-    alpha, beta = p.alpha, p.beta
-    c2, s2 = abs(alpha) ** 2, abs(beta) ** 2
-    cross_upper = alpha * np.conj(beta)  # pairs with C (lower coherence)
-    cross_lower = np.conj(alpha) * beta  # pairs with D (upper coherence)
-
-    prob_terms: list[complex] = []
-    fid_terms: list[complex] = []
-    qfi_terms: list[complex] = []
-    for k in range(n + 1):
-        mult = float(math.comb(n, k))
-        a, b, c, d, prob_k = _element_scalars(p, k, convention)
-        prob_terms.append(mult * prob_k)
-        fid_terms.append(
-            mult * (c2 * a + s2 * b + cross_upper * c + cross_lower * d)
-        )
-        if abs(c) != 0.0:
-            denom = a + b
-            if abs(denom) >= _DEGENERACY_TOL:
-                qfi_terms.append(mult * 4.0 * abs(c) ** 2 * n**2 / denom)
-            elif abs(c) ** 2 > abs(denom):
-                # Corner populations cancel while coherence survives: a
-                # genuine pole of the two-sided-multiplication aggregate.
-                raise DegeneracyError(
-                    f"class k={k} has vanishing corner populations at "
-                    f"theta={p.theta}, eta={p.eta}, r={p.r}"
-                )
-            # else: the whole class has underflowed; its contribution is
-            # bounded by 4 n^2 |denom| and is dropped as negligible.
-
-    def _csum(terms: list[complex]) -> complex:
-        return complex(
-            math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
-        )
-
-    p_total = _csum(prob_terms)
-    if abs(p_total) < _DEGENERACY_TOL:
+    aggregates = _aggregates(p.n_qubits, p.gamma, p.r, p.theta, p.eta, convention)
+    total, fid, qfi = map(complex, aggregates)
+    where = f"theta={p.theta}, eta={p.eta}, r={p.r}"
+    if cmath.isnan(total):
         raise DegeneracyError(
-            f"total record weight |{p_total}| vanishes at theta={p.theta}, "
-            f"eta={p.eta}, r={p.r}"
+            f"total record weight vanishes (|P| < {_DEGENERACY_TOL}) at {where}"
         )
-    fid = _csum(fid_terms) / p_total
-    qfi = _csum(qfi_terms) if qfi_terms else 0.0 + 0.0j
-    return p_total, fid, qfi
+    if cmath.isnan(qfi):
+        raise DegeneracyError(
+            f"a record class has vanishing corner populations at {where}"
+        )
+    return total, fid, qfi
 
 
 def aggregate_metrics(
@@ -346,87 +318,114 @@ def metrics_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized aggregates over broadcastable theta/eta arrays.
 
-    Returns complex arrays (probability, fidelity, qfi) with the same
-    algebra as :func:`aggregate_metrics`, evaluated elementwise; class
-    contributions with no coherence are zero instead of 0/0.  Points the
-    scalar path would reject as degenerate (vanished total weight, or a
-    surviving coherence over unresolvable populations) come back as NaN
-    instead of an exception, so sweeps can skip them.  The masks here use
-    a tenfold wider cutoff than the scalar path: the two paths round
-    differently at the last bit, so staying an order of magnitude clear
-    of the scalar threshold guarantees every point this function keeps is
-    evaluable by the scalar engine.  Used by the sweep and search layers,
-    and cross-checked against the scalar path.
+    Returns complex arrays (probability, fidelity, qfi) of the broadcast
+    shape from the kernel whose 0-d call is :func:`aggregate_complex`, so
+    each element equals the scalar path's value exactly.  Points where the
+    scalar path raises :class:`DegeneracyError` come back as NaN, so sweeps
+    can skip them.  The aggregates do not depend on ``phi0``.
+    """
+    return _aggregates(n, gamma, r, theta, eta, convention)
+
+
+@functools.lru_cache(maxsize=32)
+def _multiplicities(n: int) -> np.ndarray:
+    """Read-only binomial multiplicities C(n, k), k = 0..n, as floats."""
+    mult = np.array([float(math.comb(n, k)) for k in range(n + 1)])
+    mult.flags.writeable = False
+    return mult
+
+
+def _int_power(z: np.ndarray, n: int) -> np.ndarray:
+    """z**n for an integer n >= 1 by repeated squaring."""
+    result = z
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * z
+    return result
+
+
+def _aggregates(
+    n: int,
+    gamma: float,
+    r: float,
+    theta,
+    eta,
+    convention: Convention,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Complex (probability, fidelity, qfi) over broadcast theta/eta, NaN if undefined.
+
+    With u = cos^2(theta/2), q = sin^2(theta/2) (1-r) and e = e^{i eta} (paper)
+    or 1 (physical), class k has corner populations A_k ~ c2 u^k q^(n-k)
+    e^(2k-n) and B_k ~ s2 q^k u^(n-k) e^(n-2k), and |C|^2 = c2 s2 (uq)^n =
+    |A_k| |B_k|.  Probability and fidelity collapse to O(1) powers; the QFI
+    sums mult 4 n^2 |C|^2 / (A+B) over the classes, in blocks along a k axis
+    of at most _BLOCK_ELEMENTS values.  Below |A+B| = 1e-13 a class is a
+    pole (NaN) if |C|^2 > |A+B| / 2, and is dropped if it has underflowed
+    (|A+B| < 1e-14) or its populations have cancelled (|A+B| < |C|).
     """
     theta = np.asarray(theta, dtype=np.float64)
     eta = np.asarray(eta, dtype=np.float64)
-    alpha = math.cos(gamma / 2.0)
-    beta = math.sin(gamma / 2.0) * cmath.exp(1j * phi0)
-    c2, s2 = abs(alpha) ** 2, abs(beta) ** 2
-    u = np.cos(theta / 2.0) ** 2
-    v = np.sin(theta / 2.0) ** 2
-    zp = np.exp(1j * eta)
-    zm = np.conj(zp)
+    out_shape = np.broadcast(theta, eta).shape
+    # At least one axis, so a 0-d call rounds as a one-element grid does (numpy
+    # scalars do not), and equal ranks, so the k-axis tables broadcast.
+    ndim = max(len(out_shape), 1)
+    theta = theta.reshape((1,) * (ndim - theta.ndim) + theta.shape)
+    eta = eta.reshape((1,) * (ndim - eta.ndim) + eta.shape)
+    shape = out_shape or (1,)
+    k = np.arange(n + 1).reshape((n + 1,) + (1,) * ndim)  # the class axis
+    c2, s2 = math.cos(gamma / 2.0) ** 2, math.sin(gamma / 2.0) ** 2
 
-    if convention is Convention.PAPER:
-        rot0 = (zp, zm)
-        rot1 = (zm, zp)
-        corner_lo = (np.ones_like(zp), np.ones_like(zp))
-    else:
-        ones = np.ones_like(zp)
-        rot0 = (ones, ones)
-        rot1 = (ones, ones)
-        corner_lo = (zm, zp)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        half = theta / 2.0
+        u, v = np.cos(half) ** 2, np.sin(half) ** 2
+        q, vr = v * (1.0 - r), v * r
+        vr_n = vr**n
+        w = np.sin(theta) / 2.0 * math.sqrt(1.0 - r)
+        c_abs = math.sqrt(c2 * s2) * w**n  # |C|, the same for every class
+        c_sq = c_abs * c_abs
+        if convention is Convention.PAPER:
+            phase = np.exp(1j * eta * (2 * k - n))  # e^(2k-n), a row per class
+            e_back = np.exp(-2j * eta)
+            coherence_n = (2.0 * w) ** n  # the corner phases cancel in C + D
+        else:
+            phase = np.ones((n + 1,) + eta.shape, dtype=np.complex128)
+            e_back = phase[0]
+            coherence_n = (2.0 * w * np.cos(eta)) ** n
+        e_n = phase[n]
 
-    a0 = (u * rot0[0], 0.0 * rot0[1])
-    a1 = (v * (1.0 - r) * rot1[0], v * r * rot1[1])
-    b0 = (v * r * rot0[0], v * (1.0 - r) * rot0[1])
-    b1 = (0.0 * rot1[0], u * rot1[1])
-
-    w = (np.sin(theta) / 2.0) * math.sqrt(1.0 - r)
-    shape = np.broadcast(u, zp).shape
-    p_total = np.zeros(shape, dtype=np.complex128)
-    fid_num = np.zeros(shape, dtype=np.complex128)
-    qfi = np.zeros(shape, dtype=np.complex128)
-
-    cross_upper = alpha * np.conj(beta)
-    cross_lower = np.conj(alpha) * beta
-    for k in range(n + 1):
-        mult = float(math.comb(n, k))
-        pop_a0 = c2 * a0[0] ** k * a1[0] ** (n - k)
-        pop_b0 = s2 * b0[0] ** k * b1[0] ** (n - k)
-        pop_a1 = c2 * a0[1] ** k * a1[1] ** (n - k)
-        pop_b1 = s2 * b0[1] ** k * b1[1] ** (n - k)
-        a = pop_a0 + pop_b0
-        b = pop_a1 + pop_b1
-        c = cross_lower * w**n * corner_lo[0] ** k * corner_lo[1] ** (n - k)
-        d = cross_upper * w**n * np.conj(corner_lo[0]) ** k * np.conj(
-            corner_lo[1]
-        ) ** (n - k)
-        prob_k = (
-            c2 * (a0[0] + a0[1]) ** k * (a1[0] + a1[1]) ** (n - k)
-            + s2 * (b0[0] + b0[1]) ** k * (b1[0] + b1[1]) ** (n - k)
-        )
-        p_total += mult * prob_k
-        fid_num += mult * (c2 * a + s2 * b + cross_upper * c + cross_lower * d)
-        c_sq = np.abs(c) ** 2
-        denom = a + b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = 4.0 * c_sq * n**2 / denom
-        # Same class rule as the scalar path: divide when the populations
-        # are resolvable, flag a genuine pole as undefined (NaN instead of
-        # the scalar path's DegeneracyError), and otherwise drop the
-        # negligible contribution.  The halved coherence comparison keeps
-        # the NaN set a strict superset of the scalar raise set.
-        qfi += mult * np.where(
-            np.abs(denom) >= _GRID_DEGENERACY_TOL,
-            contrib,
-            np.where(c_sq > 0.5 * np.abs(denom), np.nan, 0.0),
-        )
-
-    degenerate = np.abs(p_total) < _GRID_DEGENERACY_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # sum_k C(n,k) a^k b^(n-k) e^(2k-n) = e^n (a + b e^-2)^n, with e^n
+        # taken whole so that |e^n| <= 1 holds after rounding.
+        q_back = q * e_back
+        p_total = (c2 + s2) * e_n * _int_power(u + vr + q_back, n)
+        fid_num = (c2 * c2 + s2 * s2) * e_n * _int_power(u + q_back, n)
+        fid_num += 2.0 * c2 * s2 * (vr_n * e_n + coherence_n)
+        degenerate = np.abs(p_total) < _DEGENERACY_TOL
         fid = np.where(degenerate, np.nan, fid_num / p_total)
-    p_total = np.where(degenerate, np.nan, p_total)
-    qfi = np.where(degenerate, np.nan, qfi)
-    return p_total, fid, qfi
+        p_total = np.where(degenerate, np.nan, p_total)
+
+        # A_k + B_k = pop_a[k] phase[k] + pop_b[k] conj(phase[k]).
+        powers = u**k * q ** k[::-1]
+        pop_a, pop_b = c2 * powers, s2 * powers[::-1]
+        pop_a[n] += s2 * vr_n
+        pop_b[0] += c2 * vr_n
+        plus, minus = pop_a + pop_b, pop_a - pop_b
+        weight = _multiplicities(n).reshape(k.shape) * (4.0 * n**2 * c_sq)
+        drop_below = np.clip(c_abs, _UNDERFLOW_TOL, _DEGENERACY_TOL)
+        pole_below = np.minimum(_DEGENERACY_TOL, 2.0 * c_sq)
+
+        qfi = 0.0
+        block = max(1, _BLOCK_ELEMENTS // max(1, math.prod(shape)))
+        denom = np.empty((min(block, n + 1),) + shape, dtype=np.complex128)
+        for start in range(0, n + 1, block):
+            ks = slice(start, min(start + block, n + 1))
+            d = denom[: ks.stop - start]
+            np.multiply(plus[ks], phase[ks].real, out=d.real)
+            np.multiply(minus[ks], phase[ks].imag, out=d.imag)
+            size = np.abs(d)
+            d[size < drop_below] = np.inf  # a dropped class adds nothing
+            d[size < pole_below] = np.nan
+            qfi = qfi + np.divide(weight[ks], d, out=d).sum(axis=0)
+        qfi[degenerate] = np.nan
+
+    return tuple(z.reshape(out_shape) for z in (p_total, fid, qfi))

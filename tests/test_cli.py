@@ -467,6 +467,14 @@ class TestValidateCommand:
         assert code == 0
         assert "passed 32/32 checks (seed 123)" in out
 
+    @pytest.mark.parametrize("seed", [1, 4, 9, 17, 24, 36])
+    def test_seeds_once_failing_scalar_vs_grid_pass(self, capsys, seed):
+        # At these seeds the scalar and grid paths used to round apart by
+        # more than 1e-10 at near-degenerate points.
+        code, out, _ = run_cli(capsys, ["validate", "--seed", str(seed)])
+        assert code == 0
+        assert f"passed 32/32 checks (seed {seed})" in out
+
     def test_failing_check_maps_to_exit_1(self, capsys, monkeypatch):
         import ghzprotect.cli as cli_module
         from ghzprotect.validate import CheckResult

@@ -262,6 +262,12 @@ class TestUnitProbabilityConstraint:
         assert res.eta_star == 0.0
         assert abs(res.companion.probability - 1.0) < 1e-9
 
+    def test_pinned_rotation_does_not_count_as_boundary(self):
+        # eta is pinned to 0, not clipped by its range: only theta counts.
+        res = maximize_fidelity_at_unit_probability(0.10, GHZ10)
+        assert 0.0 < res.theta_star < math.pi
+        assert not res.on_boundary
+
     def test_high_decay_saturates_at_projective_limit(self):
         # At strong damping the best deterministic setting is the
         # projective measurement, which yields the even two-outcome

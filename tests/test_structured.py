@@ -7,9 +7,12 @@ spot values pin the formulas themselves.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzprotect.dense import (
     aggregate_metrics_dense,
@@ -23,6 +26,7 @@ from ghzprotect.params import (
 from ghzprotect.structured import (
     BranchElements,
     DiagProduct,
+    aggregate_complex,
     aggregate_metrics,
     branch_elements,
     branch_qfi,
@@ -302,3 +306,57 @@ class TestMetricsGrid:
             Convention.PAPER,
         )
         assert prob.shape == fid.shape == qfi.shape == (4, 3)
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    @pytest.mark.parametrize("n", [100, 500, 1000])
+    def test_large_registers_raise_no_runtime_warning(self, n, conv):
+        thetas = np.linspace(0.0, math.pi, 181)[:, None]
+        etas = np.linspace(0.0, 2 * math.pi, 181)[None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            prob, fid, qfi = metrics_grid(n, 1.1, 0.4, 0.3, thetas, etas, conv)
+        assert prob.shape == fid.shape == qfi.shape == (181, 181)
+        if conv is Convention.PHYSICAL:
+            np.testing.assert_allclose(prob.real, 1.0, atol=1e-9)
+
+
+_ANGLE = st.one_of(
+    st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi / 2, math.pi])
+)
+_ROTATION = st.one_of(
+    st.floats(0.0, 2 * math.pi),
+    st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 200),
+    gamma=st.floats(0.01, math.pi - 0.01),
+    phi0=st.floats(0.0, 2 * math.pi),
+    theta=_ANGLE,
+    eta=_ROTATION,
+    r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+    conv=st.sampled_from(list(Convention)),
+)
+def test_scalar_path_is_the_grid_at_one_point(n, gamma, phi0, theta, eta, r, conv):
+    # The scalar path is the kernel's 0-d call: a one-element grid returns
+    # the very same numbers, and NaN exactly where the scalar path raises.
+    p = ProtocolParams(
+        n_qubits=n, gamma=gamma, phi0=phi0, theta=theta, eta=eta, r=r,
+        extended_theta=True,
+    )
+    grid = [
+        complex(z[0])
+        for z in metrics_grid(
+            n, gamma, phi0, r, np.array([theta]), np.array([eta]), conv
+        )
+    ]
+    undefined = any(math.isnan(z.real) or math.isnan(z.imag) for z in grid)
+    try:
+        scalar = aggregate_complex(p, conv, max_qubits=200)
+    except DegeneracyError:
+        assert undefined
+    else:
+        assert not undefined
+        assert list(scalar) == grid
