@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ghzprotect import GridSpec, ProtocolParams, maximize_fidelity_at_unit_probability
+from ghzprotect import UNIT_PROBABILITY, GridSpec, ProtocolParams, sweep_r
 
 N_QUBITS = 10
 R_GRID = [float(x) for x in np.linspace(0.0, 0.9, 19)]
@@ -53,10 +53,8 @@ def main() -> None:
         base = ProtocolParams(
             n_qubits=N_QUBITS, gamma=gamma, phi0=0.0, theta=0.0, eta=0.0, r=0.0
         )
-        values = []
-        for r in R_GRID:
-            res = maximize_fidelity_at_unit_probability(r, base, GRID)
-            values.append(res.value)
+        results = sweep_r(UNIT_PROBABILITY, R_GRID, base, GRID)
+        values = [res.value for res in results]
         columns[label] = values
         floor = math.cos(gamma / 2) ** 4 + math.sin(gamma / 2) ** 4
         print(f"{label}: fidelity floor cos^4+sin^4 = {floor:.6f}, "

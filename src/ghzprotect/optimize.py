@@ -33,7 +33,7 @@ from .params import (
     MetricsRow,
     ProtocolParams,
 )
-from .structured import aggregate_metrics, metrics_grid
+from .structured import _probability_fidelity, aggregate_metrics, metrics_grid
 
 __all__ = [
     "Objective",
@@ -383,82 +383,108 @@ def maximize_fidelity_at_unit_probability(
     every decay level and measurement strength (the identity that
     :func:`~ghzprotect.closedform.eta_opt_probability` evaluates), the
     measurement angle is swept, and only grid points with
-    ``|probability - 1| < 1e-9`` compete.
+    ``|probability - 1| < 1e-9`` compete.  Only probability and fidelity
+    are evaluated on the grid.  This is the search that
+    :func:`sweep_r` runs for a whole decay grid at once, with one level.
     """
     r = _check_r(r)
     _check_engine_convention(engine, convention)
+    return _unit_probability_search([r], p_base, grid, engine, convention)[0]
 
+
+def _unit_probability_search(
+    rs: Sequence[float],
+    p_base: ProtocolParams,
+    grid: GridSpec,
+    engine: Engine,
+    convention: Convention,
+) -> list[OptResult]:
+    """The constrained fidelity search for every decay level in ``rs`` at once.
+
+    Row i of each refinement pass is the measurement-angle grid of
+    ``rs[i]``: windows, argmax (first index on ties, as
+    :func:`_best_index`) and incumbent are per row, so each row runs the
+    search a one-level call would.  Results, and any
+    :class:`ConstraintInfeasibleError`, come in the order of ``rs``.
+    """
     th_lo, th_hi, th_steps = grid.theta_range
-    th_window = (th_lo, th_hi)
+    rows = np.arange(len(rs))
+    r_col = np.array(rs, dtype=np.float64)[:, None]
+    lo, hi = np.full(len(rs), th_lo), np.full(len(rs), th_hi)
     th_width = th_hi - th_lo
 
-    best: Optional[tuple[float, float, float]] = None  # (fidelity, theta, eta)
+    best_value = np.full(len(rs), -np.inf)
+    best_theta = np.full(len(rs), th_lo)
     for iteration in range(grid.refine_iters + 1):
         if iteration > 0:
-            assert best is not None
             th_width *= grid.refine_shrink
-            th_window = _window(best[1], th_width, th_lo, th_hi)
-        thetas = np.linspace(th_window[0], th_window[1], th_steps)
-        etas = np.zeros_like(thetas)
-        prob, fid, _ = _grid_values_paired(p_base, r, thetas, etas, engine, convention)
-        feasible = np.abs(prob - 1.0) < UNIT_PROBABILITY_TOL
-        if iteration == 0 and not bool(np.any(feasible & np.isfinite(fid))):
+            lo = np.maximum(th_lo, best_theta - th_width / 2.0)
+            hi = np.minimum(th_hi, best_theta + th_width / 2.0)
+        thetas = np.ascontiguousarray(np.linspace(lo, hi, th_steps, axis=1))
+        prob, fid = _grid_values_paired(p_base, r_col, thetas, 0.0, engine, convention)
+        feasible = (np.abs(prob - 1.0) < UNIT_PROBABILITY_TOL) & np.isfinite(fid)
+        values = np.where(feasible, fid, -np.inf)
+        index = np.argmax(values, axis=1)
+        peak = values[rows, index]
+        better = peak > best_value
+        if iteration == 0:
+            feasible_rows = better  # only these levels are searched further
+        better &= feasible_rows
+        best_value = np.where(better, peak, best_value)
+        best_theta = np.where(better, thetas[rows, index], best_theta)
+
+    results = []
+    for i, r in enumerate(rs):
+        if not feasible_rows[i]:
             raise ConstraintInfeasibleError(
                 "no grid point reaches unit probability within 1e-9"
             )
-        values = np.where(feasible, fid, -np.inf)
-        index = _best_index(values)
-        if index is None:
-            continue
-        (i,) = index
-        candidate = (float(values[i]), float(thetas[i]), float(etas[i]))
-        if best is None or candidate[0] > best[0]:
-            best = candidate
-
-    if best is None:
-        raise ConstraintInfeasibleError(
-            "no grid point reaches unit probability within 1e-9"
+        result = _finalize(
+            Objective.FIDELITY, r, p_base, float(best_theta[i]), 0.0, grid,
+            engine, convention, eta_matters=False,
         )
-    result = _finalize(
-        Objective.FIDELITY, r, p_base, best[1], best[2], grid, engine, convention,
-        eta_matters=False,
-    )
-    if abs(result.companion.probability - 1.0) >= UNIT_PROBABILITY_TOL:
-        raise ConstraintInfeasibleError(
-            "incumbent violates the unit-probability constraint on scalar "
-            f"re-evaluation: probability={result.companion.probability!r}"
-        )
-    return result
+        if abs(result.companion.probability - 1.0) >= UNIT_PROBABILITY_TOL:
+            raise ConstraintInfeasibleError(
+                "incumbent violates the unit-probability constraint on scalar "
+                f"re-evaluation: probability={result.companion.probability!r}"
+            )
+        results.append(result)
+    return results
 
 
 def _grid_values_paired(
     p_base: ProtocolParams,
-    r: float,
+    r,
     thetas: np.ndarray,
-    etas: np.ndarray,
+    etas,
     engine: Engine,
     convention: Convention,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise metrics along paired (theta[i], eta[i]) arrays."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(probability, fidelity) at broadcast (r, theta, eta) points.
+
+    The structured engine evaluates only these two closed forms, in one
+    vectorized pass; the other engines are evaluated pointwise.
+    """
     if engine is Engine.STRUCTURED:
-        prob_c, fid_c, qfi_c = metrics_grid(
-            p_base.n_qubits, p_base.gamma, p_base.phi0, r, thetas, etas, convention
+        prob_c, fid_c = _probability_fidelity(
+            p_base.n_qubits, p_base.gamma, r, thetas, etas, convention
         )
-        return prob_c.real.copy(), fid_c.real.copy(), qfi_c.real.copy()
-    prob = np.empty(thetas.size)
-    fid = np.empty(thetas.size)
-    qfi = np.empty(thetas.size)
-    for i, (theta, eta) in enumerate(zip(thetas, etas)):
+        return prob_c.real, fid_c.real
+    rs, thetas, etas = np.broadcast_arrays(r, thetas, etas)
+    prob = np.empty(thetas.shape)
+    fid = np.empty(thetas.shape)
+    for i in np.ndindex(thetas.shape):
         p = dataclasses.replace(
-            p_base, theta=float(theta), eta=float(eta), r=r, extended_theta=True
+            p_base, theta=float(thetas[i]), eta=float(etas[i]), r=float(rs[i]),
+            extended_theta=True,
         )
         try:
             row = _point_row(p, engine, convention)
         except DegeneracyError:
-            prob[i] = fid[i] = qfi[i] = math.nan
+            prob[i] = fid[i] = math.nan
         else:
-            prob[i], fid[i], qfi[i] = row.probability, row.fidelity, row.qfi
-    return prob, fid, qfi
+            prob[i], fid[i] = row.probability, row.fidelity
+    return prob, fid
 
 
 def pareto_scan(
@@ -515,10 +541,13 @@ def sweep_r(
     """One optimization per decay level, with the no-protection reference.
 
     ``mode`` is a free objective (``probability`` / ``fidelity`` /
-    ``qfi``) or :data:`UNIT_PROBABILITY` for the constrained fidelity
-    search.  ``r_grid`` must be strictly increasing within [0, 1].  Each
-    returned result carries the matching no-protection row in
-    ``baseline``.
+    ``qfi``), maximized one decay level at a time, or
+    :data:`UNIT_PROBABILITY` for the constrained fidelity search, which
+    runs once for the whole grid: each pass evaluates only probability and
+    fidelity, for every level at once, and each result equals
+    :func:`maximize_fidelity_at_unit_probability` at its level.  ``r_grid``
+    must be strictly increasing within [0, 1].  Each returned result
+    carries the matching no-protection row in ``baseline``.
     """
     rs = [_check_r(x) for x in r_grid]
     if not rs:
@@ -526,18 +555,21 @@ def sweep_r(
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_grid must be strictly increasing")
 
-    results = []
-    for r in rs:
-        if mode == UNIT_PROBABILITY:
-            result = maximize_fidelity_at_unit_probability(
-                r, p_base, grid, engine, convention
-            )
-        else:
-            result = maximize_metric(
-                Objective(mode), r, p_base, grid, engine, convention
-            )
-        baseline = do_nothing_baseline(
-            dataclasses.replace(p_base, theta=math.pi / 2.0, eta=0.0, r=r)
+    if mode == UNIT_PROBABILITY:
+        _check_engine_convention(engine, convention)
+        results = _unit_probability_search(rs, p_base, grid, engine, convention)
+    else:
+        objective = Objective(mode)
+        results = [
+            maximize_metric(objective, r, p_base, grid, engine, convention)
+            for r in rs
+        ]
+    return [
+        dataclasses.replace(
+            result,
+            baseline=do_nothing_baseline(
+                dataclasses.replace(p_base, theta=math.pi / 2.0, eta=0.0, r=r)
+            ),
         )
-        results.append(dataclasses.replace(result, baseline=baseline))
-    return results
+        for r, result in zip(rs, results)
+    ]

@@ -345,6 +345,78 @@ def _int_power(z: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
+def _broadcast(r, theta, eta) -> tuple[tuple, tuple[int, ...]]:
+    """(r, theta, eta) with theta/eta as float arrays of full rank, and the shape.
+
+    The rank is that of the broadcast shape, and at least one, so a 0-d call
+    rounds as a one-element grid does (numpy scalars do not) and the k-axis
+    tables broadcast; r enters only through theta-shaped factors.
+    """
+    angles = [np.asarray(x, dtype=np.float64) for x in (theta, eta)]
+    out_shape = np.broadcast(r, *angles).shape
+    ndim = max(len(out_shape), 1)
+    theta, eta = [a.reshape((1,) * (ndim - a.ndim) + a.shape) for a in angles]
+    return (r, theta, eta), out_shape
+
+
+def _closed_forms(
+    n: int, gamma: float, r, theta, eta, convention: Convention, k: np.ndarray
+):
+    """(probability, fidelity, terms) over r and the full-rank theta/eta of _broadcast.
+
+    The O(1) forms of :func:`_aggregates`: sum_k C(n,k) a^k b^(n-k) e^(2k-n)
+    = e^n (a + b e^-2)^n, with e^n taken whole so that |e^n| <= 1 holds
+    after rounding; both are NaN where |P| < 1e-13.  ``k`` is a class axis
+    ending at class n, and ``terms`` are what the QFI class sum reuses: the
+    factors (c2, s2, u, q, vr^n, w), the phases e^(2k-n) and the
+    |P| < 1e-13 mask.
+    """
+    c2, s2 = math.cos(gamma / 2.0) ** 2, math.sin(gamma / 2.0) ** 2
+    half = theta / 2.0
+    u, v = np.cos(half) ** 2, np.sin(half) ** 2
+    q, vr = v * (1.0 - r), v * r
+    vr_n = vr**n
+    w = np.sin(theta) / 2.0 * np.sqrt(1.0 - r)
+    if convention is Convention.PAPER:
+        phase = np.exp(1j * eta * (2 * k - n))  # e^(2k-n), a row per class
+        e_back = np.exp(-2j * eta)
+        coherence_n = (2.0 * w) ** n  # the corner phases cancel in C + D
+    else:
+        phase = np.ones(k.shape[:1] + eta.shape, dtype=np.complex128)
+        e_back = phase[0]
+        coherence_n = (2.0 * w * np.cos(eta)) ** n
+    e_n = phase[-1]
+
+    q_back = q * e_back
+    p_total = (c2 + s2) * e_n * _int_power(u + vr + q_back, n)
+    fid_num = (c2 * c2 + s2 * s2) * e_n * _int_power(u + q_back, n)
+    fid_num += 2.0 * c2 * s2 * (vr_n * e_n + coherence_n)
+    degenerate = np.abs(p_total) < _DEGENERACY_TOL
+    fid = np.where(degenerate, np.nan, fid_num / p_total)
+    p_total = np.where(degenerate, np.nan, p_total)
+    return p_total, fid, (c2, s2, u, q, vr_n, w, phase, degenerate)
+
+
+def _probability_fidelity(
+    n: int,
+    gamma: float,
+    r,
+    theta,
+    eta,
+    convention: Convention,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Complex (probability, fidelity) over broadcast r/theta/eta, NaN if undefined.
+
+    Bit for bit the first two outputs of :func:`_aggregates` at each r,
+    without its QFI class sum.
+    """
+    (r, theta, eta), out_shape = _broadcast(r, theta, eta)
+    k = np.full((1,) * (theta.ndim + 1), n)  # class n alone
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p_total, fid, _ = _closed_forms(n, gamma, r, theta, eta, convention, k)
+    return p_total.reshape(out_shape), fid.reshape(out_shape)
+
+
 def _aggregates(
     n: int,
     gamma: float,
@@ -358,51 +430,24 @@ def _aggregates(
     With u = cos^2(theta/2), q = sin^2(theta/2) (1-r) and e = e^{i eta} (paper)
     or 1 (physical), class k has corner populations A_k ~ c2 u^k q^(n-k)
     e^(2k-n) and B_k ~ s2 q^k u^(n-k) e^(n-2k), and |C|^2 = c2 s2 (uq)^n =
-    |A_k| |B_k|.  Probability and fidelity collapse to O(1) powers; the QFI
-    sums mult 4 n^2 |C|^2 / (A+B) over the classes, in blocks along a k axis
-    of at most _BLOCK_ELEMENTS values.  Below |A+B| = 1e-13 a class is a
-    pole (NaN) if |C|^2 > |A+B| / 2, and is dropped if it has underflowed
-    (|A+B| < 1e-14) or its populations have cancelled (|A+B| < |C|).
+    |A_k| |B_k|.  Probability and fidelity collapse to O(1) powers
+    (:func:`_closed_forms`; the unit-probability search evaluates only those,
+    through :func:`_probability_fidelity`).  The QFI sums mult 4 n^2 |C|^2 /
+    (A+B) over the classes, in blocks along a k axis of at most
+    _BLOCK_ELEMENTS values.  Below |A+B| = 1e-13 a class is a pole (NaN) if
+    |C|^2 > |A+B| / 2, and is dropped if it has underflowed (|A+B| < 1e-14)
+    or its populations have cancelled (|A+B| < |C|).
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)
-    out_shape = np.broadcast(theta, eta).shape
-    # At least one axis, so a 0-d call rounds as a one-element grid does (numpy
-    # scalars do not), and equal ranks, so the k-axis tables broadcast.
-    ndim = max(len(out_shape), 1)
-    theta = theta.reshape((1,) * (ndim - theta.ndim) + theta.shape)
-    eta = eta.reshape((1,) * (ndim - eta.ndim) + eta.shape)
+    (r, theta, eta), out_shape = _broadcast(r, theta, eta)
     shape = out_shape or (1,)
-    k = np.arange(n + 1).reshape((n + 1,) + (1,) * ndim)  # the class axis
-    c2, s2 = math.cos(gamma / 2.0) ** 2, math.sin(gamma / 2.0) ** 2
+    k = np.arange(n + 1).reshape((n + 1,) + (1,) * len(shape))  # the class axis
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        half = theta / 2.0
-        u, v = np.cos(half) ** 2, np.sin(half) ** 2
-        q, vr = v * (1.0 - r), v * r
-        vr_n = vr**n
-        w = np.sin(theta) / 2.0 * math.sqrt(1.0 - r)
+        p_total, fid, (c2, s2, u, q, vr_n, w, phase, degenerate) = _closed_forms(
+            n, gamma, r, theta, eta, convention, k
+        )
         c_abs = math.sqrt(c2 * s2) * w**n  # |C|, the same for every class
         c_sq = c_abs * c_abs
-        if convention is Convention.PAPER:
-            phase = np.exp(1j * eta * (2 * k - n))  # e^(2k-n), a row per class
-            e_back = np.exp(-2j * eta)
-            coherence_n = (2.0 * w) ** n  # the corner phases cancel in C + D
-        else:
-            phase = np.ones((n + 1,) + eta.shape, dtype=np.complex128)
-            e_back = phase[0]
-            coherence_n = (2.0 * w * np.cos(eta)) ** n
-        e_n = phase[n]
-
-        # sum_k C(n,k) a^k b^(n-k) e^(2k-n) = e^n (a + b e^-2)^n, with e^n
-        # taken whole so that |e^n| <= 1 holds after rounding.
-        q_back = q * e_back
-        p_total = (c2 + s2) * e_n * _int_power(u + vr + q_back, n)
-        fid_num = (c2 * c2 + s2 * s2) * e_n * _int_power(u + q_back, n)
-        fid_num += 2.0 * c2 * s2 * (vr_n * e_n + coherence_n)
-        degenerate = np.abs(p_total) < _DEGENERACY_TOL
-        fid = np.where(degenerate, np.nan, fid_num / p_total)
-        p_total = np.where(degenerate, np.nan, p_total)
 
         # A_k + B_k = pop_a[k] phase[k] + pop_b[k] conj(phase[k]).
         powers = u**k * q ** k[::-1]

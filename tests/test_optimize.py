@@ -1,5 +1,6 @@
 """Tests for the deterministic (theta, eta) grid search."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -284,6 +285,24 @@ class TestUnitProbabilityConstraint:
         res = maximize_fidelity_at_unit_probability(0.9, ghz(10, math.pi / 3))
         assert abs(res.value - 0.625) < 1e-9
 
+    def test_ties_resolve_to_the_smallest_measurement_angle(self):
+        # At full decay the two edges of the theta range give the same
+        # fidelity; the search, alone or in a sweep, keeps theta = 0.
+        edges = [
+            aggregate_metrics(
+                ProtocolParams(
+                    n_qubits=10, gamma=math.pi / 2, phi0=0.0, theta=theta,
+                    eta=0.0, r=1.0, extended_theta=True,
+                ),
+                Convention.PAPER,
+            ).fidelity
+            for theta in (0.0, math.pi)
+        ]
+        assert edges[0] == edges[1]
+        res = maximize_fidelity_at_unit_probability(1.0, GHZ10, SMALL)
+        (swept,) = sweep_r(UNIT_PROBABILITY, [1.0], GHZ10, SMALL)
+        assert res.theta_star == swept.theta_star == 0.0
+
     def test_deterministic_repetition(self):
         a = maximize_fidelity_at_unit_probability(0.25, GHZ10, SMALL)
         b = maximize_fidelity_at_unit_probability(0.25, GHZ10, SMALL)
@@ -375,6 +394,51 @@ class TestSweep:
             )
         )
         assert res.baseline == direct
+
+    @pytest.mark.parametrize(
+        ("rs", "p_base", "grid", "engine", "convention"),
+        [
+            pytest.param(
+                [0.0, 0.15, 0.4, 0.7, 1.0], ghz(10, math.pi / 3), SMALL,
+                Engine.STRUCTURED, Convention.PAPER, id="structured-paper",
+            ),
+            pytest.param(
+                [0.0, 0.15, 0.4, 0.7, 1.0], ghz(10, math.pi / 3), SMALL,
+                Engine.STRUCTURED, Convention.PHYSICAL, id="structured-physical",
+            ),
+            pytest.param(
+                [0.05, 0.3, 0.6], ghz(4),
+                GridSpec(
+                    theta_range=(0.0, math.pi, 11),
+                    eta_range=(0.0, 2.0 * math.pi, 2),
+                    refine_iters=2,
+                ),
+                Engine.DENSE, Convention.PAPER, id="dense-n4",
+            ),
+            pytest.param(
+                [0.35], GHZ10, SMALL, Engine.STRUCTURED, Convention.PAPER,
+                id="one-level",
+            ),
+        ],
+    )
+    def test_unit_probability_sweep_is_one_search_per_level(
+        self, rs, p_base, grid, engine, convention
+    ):
+        # The batched search over the whole r grid returns, field for
+        # field, what one constrained search per decay level returns.
+        swept = sweep_r(UNIT_PROBABILITY, rs, p_base, grid, engine, convention)
+        expected = [
+            dataclasses.replace(
+                maximize_fidelity_at_unit_probability(
+                    r, p_base, grid, engine, convention
+                ),
+                baseline=do_nothing_baseline(
+                    dataclasses.replace(p_base, theta=math.pi / 2, eta=0.0, r=r)
+                ),
+            )
+            for r in rs
+        ]
+        assert swept == expected
 
     def test_rejects_bad_r_grids(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from ghzprotect.params import (
 from ghzprotect.structured import (
     BranchElements,
     DiagProduct,
+    _probability_fidelity,
     aggregate_complex,
     aggregate_metrics,
     branch_elements,
@@ -360,3 +361,38 @@ def test_scalar_path_is_the_grid_at_one_point(n, gamma, phi0, theta, eta, r, con
     else:
         assert not undefined
         assert list(scalar) == grid
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 200),
+    gamma=st.floats(0.01, math.pi - 0.01),
+    rs=st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+        min_size=1,
+        max_size=6,
+    ),
+    thetas=st.lists(_ANGLE, min_size=1, max_size=8),
+    eta=_ROTATION,
+    conv=st.sampled_from(list(Convention)),
+)
+def test_probability_fidelity_over_an_r_axis_is_the_grid_at_each_r(
+    n, gamma, rs, thetas, eta, conv
+):
+    # One call with r along its own axis gives, row by row, the very bits
+    # of metrics_grid's probability and fidelity at that r.
+    thetas = np.array(thetas)
+    etas = np.full(thetas.shape, eta)
+    prob, fid = _probability_fidelity(
+        n, gamma, np.array(rs)[:, None], thetas, etas, conv
+    )
+    assert prob.shape == fid.shape == (len(rs), thetas.size)
+    for i, r in enumerate(rs):
+        grid_prob, grid_fid, _ = metrics_grid(n, gamma, 0.0, r, thetas, etas, conv)
+        assert _same_bits(prob[i], grid_prob)
+        assert _same_bits(fid[i], grid_fid)
