@@ -26,19 +26,18 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .closedform import metrics_closedform
-from .dense import aggregate_metrics_dense
 from .optimize import (
     UNIT_PROBABILITY,
     ConstraintInfeasibleError,
     GridSpec,
     Objective,
+    _check_engine_convention,
+    _point_row,
     maximize_fidelity_at_unit_probability,
     maximize_metric,
     pareto_scan,
@@ -49,11 +48,9 @@ from .params import (
     Convention,
     DegeneracyError,
     Engine,
-    FormulaVariant,
     MetricsRow,
     ProtocolParams,
 )
-from .structured import aggregate_metrics
 from .validate import format_report, run_validation
 
 __all__ = ["ConfigError", "main"]
@@ -88,7 +85,7 @@ _CHOICE_KEYS = {
     "id": FIGURE_IDS,
     "command": ("metrics", "optimize", "sweep", "pareto", "figure", "validate"),
 }
-_FREE_KEYS = {"output", "threads"}
+_FREE_KEYS = {"output"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | set(_CHOICE_KEYS) | _FREE_KEYS
 
 _POINT_KEYS = ("eta", "r", "theta")
@@ -99,7 +96,7 @@ _GRID_KEYS = (
 )
 _BASE_GRID_KEYS = tuple(k for k in _GRID_KEYS if not k.startswith("refine"))
 _ENGINE_KEYS = ("convention", "engine", "gamma", "n", "phi0")
-_IO_KEYS = ("format", "output", "threads")
+_IO_KEYS = ("format", "output")
 
 _COMMAND_KEYS: dict[str, tuple[str, ...]] = {
     "metrics": ("command",) + _ENGINE_KEYS + _IO_KEYS + _POINT_KEYS,
@@ -110,12 +107,8 @@ _COMMAND_KEYS: dict[str, tuple[str, ...]] = {
     "pareto": ("command",) + _ENGINE_KEYS + _IO_KEYS + _BASE_GRID_KEYS + ("r",),
     "figure": ("command", "gamma", "n", "phi0") + _IO_KEYS + _GRID_KEYS
     + ("id", "r"),
-    "validate": ("command", "output", "seed", "threads"),
+    "validate": ("command", "output", "seed"),
 }
-
-
-def _default_threads() -> str:
-    return os.environ.get("GHZPROTECT_THREADS", "auto")
 
 
 def _base_defaults() -> dict:
@@ -145,7 +138,6 @@ def _base_defaults() -> dict:
         "seed": 7,
         "format": "csv",
         "output": "-",
-        "threads": _default_threads(),
     }
 
 
@@ -176,18 +168,6 @@ def _convert(key: str, raw: str):
             raise ConfigError(f"key {key!r} must be one of [{allowed}], got {raw!r}")
         return raw
     return raw
-
-
-def _check_threads(value: str) -> str:
-    if value == "auto":
-        return value
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"threads must be 'auto' or a positive integer, got {value!r}")
-    return value
 
 
 def parse_config_file(path: str) -> dict:
@@ -242,7 +222,6 @@ def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
     if command == "figure" and cfg.get("id") == "5" and "eta_max" not in explicit:
         cfg["eta_max"] = math.pi
 
-    cfg["threads"] = _check_threads(str(cfg["threads"]))
     if cfg.get("constraint") == _UNIT_PROB_CONSTRAINT:
         if "objective" not in explicit:
             cfg["objective"] = "fidelity"
@@ -378,22 +357,8 @@ def _run_metrics(cfg: dict) -> tuple[str, int]:
         r=cfg["r"],
         extended_theta=True,
     )
-    if engine is Engine.STRUCTURED:
-        row = aggregate_metrics(p, convention)
-    elif engine is Engine.DENSE:
-        row = aggregate_metrics_dense(p, convention)
-    else:
-        if convention is not Convention.PAPER:
-            raise ConfigError(
-                f"engine {engine.value!r} evaluates the two-sided-multiplication "
-                "convention only; set convention=paper"
-            )
-        variant = (
-            FormulaVariant.VERBATIM
-            if engine is Engine.CLOSEDFORM_VERBATIM
-            else FormulaVariant.APPENDIX_AGGREGATED
-        )
-        row = metrics_closedform(p, variant)
+    _check_engine_convention(engine, convention)
+    row = _point_row(p, engine, convention)
     cells = [
         row.engine.value, row.convention.value, row.r, row.theta, row.eta,
     ] + _metrics_cells(row)
@@ -609,8 +574,6 @@ def _add_io_flags(sub: argparse.ArgumentParser, with_format: bool = True) -> Non
     if with_format:
         sub.add_argument("--format", choices=list(_CHOICE_KEYS["format"]),
                          help="output serialization")
-    sub.add_argument("--threads",
-                     help="worker count or 'auto'; recorded, results identical")
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:

@@ -192,80 +192,168 @@ def _point_row(
 
 def _grid_values(
     p_base: ProtocolParams,
-    r: float,
-    thetas: np.ndarray,
-    etas: np.ndarray,
+    r,
+    thetas,
+    etas,
     engine: Engine,
     convention: Convention,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real (probability, fidelity, qfi) arrays of shape (n_theta, n_eta).
+    with_qfi: bool,
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Real (probability, fidelity, qfi) at broadcast (r, theta, eta) points.
 
-    The structured engine evaluates the whole grid in one vectorized
-    pass; the other engines are evaluated pointwise.  Points whose
-    record-average is numerically undefined come back as NaN.
+    ``qfi`` is None unless ``with_qfi``.  The structured engine evaluates
+    all points in one vectorized pass, and sums the information over the
+    excitation classes only ``with_qfi``; the other engines are evaluated
+    pointwise.  Points whose record-average is numerically undefined come
+    back as NaN.
     """
-    shape = (thetas.size, etas.size)
     if engine is Engine.STRUCTURED:
-        prob_c, fid_c, qfi_c = metrics_grid(
-            p_base.n_qubits,
-            p_base.gamma,
-            p_base.phi0,
-            r,
-            thetas[:, None],
-            etas[None, :],
-            convention,
+        n, gamma = p_base.n_qubits, p_base.gamma
+        if with_qfi:
+            grids = metrics_grid(n, gamma, p_base.phi0, r, thetas, etas, convention)
+        else:
+            grids = _probability_fidelity(n, gamma, r, thetas, etas, convention)
+            grids += (None,)
+        return tuple(None if z is None else np.ascontiguousarray(z.real) for z in grids)
+
+    rs, thetas, etas = np.broadcast_arrays(r, thetas, etas)
+    grids = np.full((3,) + thetas.shape, math.nan)
+    for i in np.ndindex(thetas.shape):
+        p = dataclasses.replace(
+            p_base, theta=float(thetas[i]), eta=float(etas[i]), r=float(rs[i]),
+            extended_theta=True,
         )
-        return tuple(
-            np.ascontiguousarray(np.broadcast_to(arr, shape).real, dtype=np.float64)
-            for arr in (prob_c, fid_c, qfi_c)
-        )
-
-    prob = np.empty(shape)
-    fid = np.empty(shape)
-    qfi = np.empty(shape)
-    for i, theta in enumerate(thetas):
-        for j, eta in enumerate(etas):
-            p = dataclasses.replace(
-                p_base, theta=float(theta), eta=float(eta), r=r, extended_theta=True
-            )
-            try:
-                row = _point_row(p, engine, convention)
-            except DegeneracyError:
-                prob[i, j] = fid[i, j] = qfi[i, j] = math.nan
-            else:
-                prob[i, j] = row.probability
-                fid[i, j] = row.fidelity
-                qfi[i, j] = row.qfi
-    return prob, fid, qfi
+        try:
+            row = _point_row(p, engine, convention)
+        except DegeneracyError:
+            continue
+        grids[(slice(None),) + i] = row.probability, row.fidelity, row.qfi
+    prob, fid, qfi = grids
+    return prob, fid, qfi if with_qfi else None
 
 
-def _pick_objective(
-    prob: np.ndarray, fid: np.ndarray, qfi: np.ndarray, objective: Objective
-) -> np.ndarray:
-    table = {
-        Objective.PROBABILITY: prob,
-        Objective.FIDELITY: fid,
-        Objective.QFI: qfi,
-    }
-    return table[objective]
+def _best_per_level(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, value) of the best point of each level, non-finite points excluded.
 
-
-def _best_index(values: np.ndarray) -> Optional[tuple[int, ...]]:
-    """Row-major argmax with non-finite points excluded.
-
-    Returns None when no point is evaluable.  Scanning in row-major
-    order with ``>=`` ties resolves equal maxima toward the smallest
-    measurement angle first, then the smallest rotation angle.
+    ``values`` holds one grid per level along its first axis.  The index
+    is row-major within the level's grid and the first maximum wins, so
+    ties resolve toward the smallest measurement angle first, then the
+    smallest rotation angle.  A level with no evaluable point reads -inf.
     """
-    masked = np.where(np.isfinite(values), values, -np.inf)
-    peak = masked.max()
-    if not np.isfinite(peak):
-        return None
-    return tuple(int(k) for k in np.argwhere(masked >= peak)[0])
+    flat = values.reshape(len(values), -1)
+    flat = np.where(np.isfinite(flat), flat, -np.inf)
+    index = np.argmax(flat, axis=1)
+    return index, flat[np.arange(len(flat)), index]
 
 
-def _window(center: float, width: float, lo: float, hi: float) -> tuple[float, float]:
-    return max(lo, center - width / 2.0), min(hi, center + width / 2.0)
+def _search(
+    rs: Sequence[float],
+    p_base: ProtocolParams,
+    grid: GridSpec,
+    engine: Engine,
+    convention: Convention,
+    objective: Objective,
+    unit_probability: bool = False,
+) -> list[OptResult]:
+    """The refinement search of ``objective`` for every decay level in ``rs``.
+
+    Each pass evaluates one (theta, eta) grid per level, all levels at
+    once.  Windows, argmax (:func:`_best_per_level`) and incumbent are per
+    level, so each level runs the search a one-level call would: each
+    window is the previous width times ``refine_shrink``, centred on the
+    incumbent and clamped to the range; a point replaces the incumbent
+    only if it is strictly better; a level with no evaluable point on its
+    first grid is not searched further.  With ``unit_probability`` the
+    rotation axis is the single point 0 and only points with
+    ``|probability - 1| < 1e-9`` compete.  The incumbents are re-evaluated
+    through the scalar path of ``engine``; results, and the error of a
+    level with no candidate, come in the order of ``rs``.
+    """
+    axes = [grid.theta_range, (0.0, 0.0, 1) if unit_probability else grid.eta_range]
+    levels = np.arange(len(rs))
+    r_col = np.array(rs, dtype=np.float64)[:, None, None]
+    windows = [(np.full(len(rs), lo), np.full(len(rs), hi)) for lo, hi, _ in axes]
+    widths = [hi - lo for lo, hi, _ in axes]
+    best = [lo for lo, _ in windows]  # the incumbent (theta, eta) of each level
+    best_value = np.full(len(rs), -np.inf)
+    for iteration in range(grid.refine_iters + 1):
+        if iteration > 0:
+            widths = [width * grid.refine_shrink for width in widths]
+            windows = [
+                (np.maximum(lo, mid - width / 2.0), np.minimum(hi, mid + width / 2.0))
+                for (lo, hi, _), mid, width in zip(axes, best, widths)
+            ]
+        thetas, etas = (
+            np.ascontiguousarray(np.linspace(lo, hi, steps, axis=1))
+            for (lo, hi), (_, _, steps) in zip(windows, axes)
+        )
+        prob, fid, qfi = _grid_values(
+            p_base, r_col, thetas[:, :, None], etas[:, None, :], engine, convention,
+            with_qfi=objective is Objective.QFI,
+        )
+        values = {
+            Objective.PROBABILITY: prob, Objective.FIDELITY: fid, Objective.QFI: qfi,
+        }[objective]
+        if unit_probability:
+            values = np.where(np.abs(prob - 1.0) < UNIT_PROBABILITY_TOL, values, np.nan)
+        del prob, fid, qfi  # only the objective's grid stays in memory
+        index, peak = _best_per_level(values)
+        better = peak > best_value
+        if iteration == 0:
+            found = better  # only these levels are searched further
+            if not found.any():
+                break
+        better &= found
+        best_value = np.where(better, peak, best_value)
+        i, j = np.divmod(index, etas.shape[1])
+        best = [
+            np.where(better, thetas[levels, i], best[0]),
+            np.where(better, etas[levels, j], best[1]),
+        ]
+
+    th_lo, th_hi, _ = grid.theta_range
+    et_lo, et_hi, _ = grid.eta_range
+    eta_matters = not unit_probability and (
+        convention is not Convention.PHYSICAL or objective is Objective.FIDELITY
+    )
+    results = []
+    for level, r in enumerate(rs):
+        if not found[level]:
+            if unit_probability:
+                raise ConstraintInfeasibleError(
+                    "no grid point reaches unit probability within 1e-9"
+                )
+            raise DegeneracyError(
+                "no evaluable grid point: every record-average in the "
+                "search range is numerically undefined"
+            )
+        theta_star, eta_star = float(best[0][level]), float(best[1][level])
+        p_star = dataclasses.replace(
+            p_base, theta=theta_star, eta=eta_star, r=r, extended_theta=True
+        )
+        companion = _point_row(p_star, engine, convention)
+        if unit_probability and (
+            abs(companion.probability - 1.0) >= UNIT_PROBABILITY_TOL
+        ):
+            raise ConstraintInfeasibleError(
+                "incumbent violates the unit-probability constraint on scalar "
+                f"re-evaluation: probability={companion.probability!r}"
+            )
+        results.append(
+            OptResult(
+                r=r,
+                objective=objective,
+                theta_star=theta_star,
+                eta_star=eta_star,
+                value=getattr(companion, objective.value),
+                companion=companion,
+                engine=engine,
+                convention=convention,
+                on_boundary=theta_star in (th_lo, th_hi)
+                or (eta_matters and eta_star in (et_lo, et_hi)),
+            )
+        )
+    return results
 
 
 def maximize_metric(
@@ -281,93 +369,14 @@ def maximize_metric(
     ``p_base`` supplies the register size and input amplitudes; its own
     angles and decay probability are ignored.  Grid points whose metrics
     are numerically undefined are skipped; if no point at all is
-    evaluable a :class:`DegeneracyError` propagates.
+    evaluable a :class:`DegeneracyError` propagates.  The structured
+    engine sums the information over the excitation classes only for the
+    ``qfi`` objective.
     """
     objective = Objective(objective)
     r = _check_r(r)
     _check_engine_convention(engine, convention)
-
-    th_lo, th_hi, th_steps = grid.theta_range
-    et_lo, et_hi, et_steps = grid.eta_range
-    th_window, et_window = (th_lo, th_hi), (et_lo, et_hi)
-    th_width, et_width = th_hi - th_lo, et_hi - et_lo
-
-    best: Optional[tuple[float, float, float]] = None  # (value, theta, eta)
-    for iteration in range(grid.refine_iters + 1):
-        if iteration > 0:
-            assert best is not None
-            th_width *= grid.refine_shrink
-            et_width *= grid.refine_shrink
-            th_window = _window(best[1], th_width, th_lo, th_hi)
-            et_window = _window(best[2], et_width, et_lo, et_hi)
-        thetas = np.linspace(th_window[0], th_window[1], th_steps)
-        etas = np.linspace(et_window[0], et_window[1], et_steps)
-        values = _pick_objective(
-            *_grid_values(p_base, r, thetas, etas, engine, convention), objective
-        )
-        index = _best_index(values)
-        if index is None:
-            if best is None:
-                raise DegeneracyError(
-                    "no evaluable grid point: every record-average in the "
-                    "search range is numerically undefined"
-                )
-            continue
-        i, j = index
-        candidate = (float(values[i, j]), float(thetas[i]), float(etas[j]))
-        if best is None or candidate[0] > best[0]:
-            best = candidate
-
-    assert best is not None
-    eta_matters = (
-        convention is not Convention.PHYSICAL or objective is Objective.FIDELITY
-    )
-    return _finalize(
-        objective, r, p_base, best[1], best[2], grid, engine, convention, eta_matters
-    )
-
-
-def _finalize(
-    objective: Objective,
-    r: float,
-    p_base: ProtocolParams,
-    theta_star: float,
-    eta_star: float,
-    grid: GridSpec,
-    engine: Engine,
-    convention: Convention,
-    eta_matters: bool,
-) -> OptResult:
-    """Re-evaluate the incumbent through the scalar path and package it.
-
-    ``eta_matters`` says whether the objective depends on the rotation
-    angle; only then can the rotation range clip the optimum.
-    """
-    p_star = dataclasses.replace(
-        p_base, theta=theta_star, eta=eta_star, r=r, extended_theta=True
-    )
-    companion = _point_row(p_star, engine, convention)
-    value = {
-        Objective.PROBABILITY: companion.probability,
-        Objective.FIDELITY: companion.fidelity,
-        Objective.QFI: companion.qfi,
-    }[objective]
-    th_lo, th_hi, _ = grid.theta_range
-    et_lo, et_hi, _ = grid.eta_range
-    on_boundary = theta_star in (th_lo, th_hi) or (
-        eta_matters and eta_star in (et_lo, et_hi)
-    )
-    return OptResult(
-        r=r,
-        objective=objective,
-        theta_star=theta_star,
-        eta_star=eta_star,
-        value=value,
-        companion=companion,
-        engine=engine,
-        convention=convention,
-        on_boundary=on_boundary,
-    )
+    return _search([r], p_base, grid, engine, convention, objective)[0]
 
 
 def maximize_fidelity_at_unit_probability(
@@ -389,102 +398,9 @@ def maximize_fidelity_at_unit_probability(
     """
     r = _check_r(r)
     _check_engine_convention(engine, convention)
-    return _unit_probability_search([r], p_base, grid, engine, convention)[0]
-
-
-def _unit_probability_search(
-    rs: Sequence[float],
-    p_base: ProtocolParams,
-    grid: GridSpec,
-    engine: Engine,
-    convention: Convention,
-) -> list[OptResult]:
-    """The constrained fidelity search for every decay level in ``rs`` at once.
-
-    Row i of each refinement pass is the measurement-angle grid of
-    ``rs[i]``: windows, argmax (first index on ties, as
-    :func:`_best_index`) and incumbent are per row, so each row runs the
-    search a one-level call would.  Results, and any
-    :class:`ConstraintInfeasibleError`, come in the order of ``rs``.
-    """
-    th_lo, th_hi, th_steps = grid.theta_range
-    rows = np.arange(len(rs))
-    r_col = np.array(rs, dtype=np.float64)[:, None]
-    lo, hi = np.full(len(rs), th_lo), np.full(len(rs), th_hi)
-    th_width = th_hi - th_lo
-
-    best_value = np.full(len(rs), -np.inf)
-    best_theta = np.full(len(rs), th_lo)
-    for iteration in range(grid.refine_iters + 1):
-        if iteration > 0:
-            th_width *= grid.refine_shrink
-            lo = np.maximum(th_lo, best_theta - th_width / 2.0)
-            hi = np.minimum(th_hi, best_theta + th_width / 2.0)
-        thetas = np.ascontiguousarray(np.linspace(lo, hi, th_steps, axis=1))
-        prob, fid = _grid_values_paired(p_base, r_col, thetas, 0.0, engine, convention)
-        feasible = (np.abs(prob - 1.0) < UNIT_PROBABILITY_TOL) & np.isfinite(fid)
-        values = np.where(feasible, fid, -np.inf)
-        index = np.argmax(values, axis=1)
-        peak = values[rows, index]
-        better = peak > best_value
-        if iteration == 0:
-            feasible_rows = better  # only these levels are searched further
-        better &= feasible_rows
-        best_value = np.where(better, peak, best_value)
-        best_theta = np.where(better, thetas[rows, index], best_theta)
-
-    results = []
-    for i, r in enumerate(rs):
-        if not feasible_rows[i]:
-            raise ConstraintInfeasibleError(
-                "no grid point reaches unit probability within 1e-9"
-            )
-        result = _finalize(
-            Objective.FIDELITY, r, p_base, float(best_theta[i]), 0.0, grid,
-            engine, convention, eta_matters=False,
-        )
-        if abs(result.companion.probability - 1.0) >= UNIT_PROBABILITY_TOL:
-            raise ConstraintInfeasibleError(
-                "incumbent violates the unit-probability constraint on scalar "
-                f"re-evaluation: probability={result.companion.probability!r}"
-            )
-        results.append(result)
-    return results
-
-
-def _grid_values_paired(
-    p_base: ProtocolParams,
-    r,
-    thetas: np.ndarray,
-    etas,
-    engine: Engine,
-    convention: Convention,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(probability, fidelity) at broadcast (r, theta, eta) points.
-
-    The structured engine evaluates only these two closed forms, in one
-    vectorized pass; the other engines are evaluated pointwise.
-    """
-    if engine is Engine.STRUCTURED:
-        prob_c, fid_c = _probability_fidelity(
-            p_base.n_qubits, p_base.gamma, r, thetas, etas, convention
-        )
-        return prob_c.real, fid_c.real
-    rs, thetas, etas = np.broadcast_arrays(r, thetas, etas)
-    prob = np.empty(thetas.shape)
-    fid = np.empty(thetas.shape)
-    for i in np.ndindex(thetas.shape):
-        p = dataclasses.replace(
-            p_base, theta=float(thetas[i]), eta=float(etas[i]), r=float(rs[i]),
-            extended_theta=True,
-        )
-        try:
-            row = _point_row(p, engine, convention)
-        except DegeneracyError:
-            prob[i] = fid[i] = math.nan
-        else:
-            prob[i], fid[i] = row.probability, row.fidelity
-    return prob, fid
+    return _search(
+        [r], p_base, grid, engine, convention, Objective.FIDELITY, unit_probability=True
+    )[0]
 
 
 def pareto_scan(
@@ -511,7 +427,9 @@ def pareto_scan(
 
     thetas = np.linspace(*grid.theta_range)
     etas = np.linspace(*grid.eta_range)
-    prob, fid, _ = _grid_values(p_base, r, thetas, etas, engine, convention)
+    prob, fid, _ = _grid_values(
+        p_base, r, thetas[:, None], etas[None, :], engine, convention, with_qfi=False
+    )
     points = [
         ParetoPoint(float(thetas[i]), float(etas[j]), float(fid[i, j]), float(prob[i, j]))
         for i in range(thetas.size)
@@ -557,7 +475,10 @@ def sweep_r(
 
     if mode == UNIT_PROBABILITY:
         _check_engine_convention(engine, convention)
-        results = _unit_probability_search(rs, p_base, grid, engine, convention)
+        results = _search(
+            rs, p_base, grid, engine, convention, Objective.FIDELITY,
+            unit_probability=True,
+        )
     else:
         objective = Objective(mode)
         results = [

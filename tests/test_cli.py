@@ -196,30 +196,14 @@ class TestConfigLayering:
         assert code == 0
         assert first == second
 
-    def test_threads_flag_is_recorded_but_inert(self, capsys):
-        outputs = []
-        for threads in ("auto", "4"):
-            code, out, _ = run_cli(capsys, [
-                "metrics", "--r", "0.2", "--threads", threads,
-            ])
-            assert code == 0
-            outputs.append(out)
-        assert header_block(outputs[0])["threads"] == "auto"
-        assert header_block(outputs[1])["threads"] == "4"
-        strip = lambda text: [
-            line for line in text.splitlines() if not line.startswith("# threads=")
-        ]
-        assert strip(outputs[0]) == strip(outputs[1])
-
-    def test_threads_env_var_is_picked_up(self, capsys, monkeypatch):
-        monkeypatch.setenv("GHZPROTECT_THREADS", "2")
-        code, out, _ = run_cli(capsys, ["metrics", "--r", "0.2"])
-        assert code == 0
-        assert header_block(out)["threads"] == "2"
-
-    def test_bad_threads_value_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, ["metrics", "--threads", "0"])
+    def test_threads_key_of_older_payloads_is_unknown(self, capsys, tmp_path):
+        # Older payloads echoed an inert `threads` setting; a config
+        # stripped from one is refused rather than silently accepted.
+        config = tmp_path / "old.cfg"
+        config.write_text("command=metrics\nthreads=auto\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, ["metrics", "--config", str(config)])
         assert code == 2
+        assert "unknown key" in err
 
     def test_output_file_target(self, capsys, tmp_path):
         target = tmp_path / "row.csv"

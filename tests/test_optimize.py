@@ -6,19 +6,21 @@ import math
 import numpy as np
 import pytest
 
+from ghzprotect import optimize
 from ghzprotect.dense import aggregate_metrics_dense, do_nothing_baseline
 from ghzprotect.optimize import (
     UNIT_PROBABILITY,
+    ConstraintInfeasibleError,
     GridSpec,
     Objective,
     OptResult,
-    _best_index,
+    _best_per_level,
     maximize_fidelity_at_unit_probability,
     maximize_metric,
     pareto_scan,
     sweep_r,
 )
-from ghzprotect.params import Convention, Engine, ProtocolParams
+from ghzprotect.params import Convention, DegeneracyError, Engine, ProtocolParams
 from ghzprotect.structured import aggregate_metrics
 
 GHZ10 = ProtocolParams(
@@ -71,20 +73,32 @@ class TestGridSpec:
 
 
 class TestBestIndex:
+    """The search's per-level argmax: one grid per level along the first axis."""
+
     def test_row_major_tie_break(self):
-        values = np.array([[1.0, 2.0], [2.0, 0.0]])
-        assert _best_index(values) == (0, 1)
-        assert _best_index(np.full((3, 3), 5.0)) == (0, 0)
+        values = np.array([[[1.0, 2.0], [2.0, 0.0]], np.full((2, 2), 5.0)])
+        index, peak = _best_per_level(values)
+        assert index.tolist() == [1, 0]  # (0, 1) and (0, 0) row-major
+        assert peak.tolist() == [2.0, 5.0]
 
     def test_non_finite_points_are_skipped(self):
-        values = np.array([[np.inf, 1.0], [np.nan, 0.5]])
-        assert _best_index(values) == (0, 1)
+        values = np.array([
+            [[np.inf, 1.0], [np.nan, 0.5]],
+            [[-np.inf, np.nan], [0.25, np.inf]],
+        ])
+        index, peak = _best_per_level(values)
+        assert index.tolist() == [1, 2]
+        assert peak.tolist() == [1.0, 0.25]
 
     def test_all_bad_returns_none(self):
-        assert _best_index(np.array([np.nan, -np.inf])) is None
+        # A level with no evaluable point reads -inf, whatever its index.
+        _, peak = _best_per_level(np.array([[np.nan, -np.inf], [np.inf, 1.0]]))
+        assert peak.tolist() == [-np.inf, 1.0]
 
     def test_one_dimensional(self):
-        assert _best_index(np.array([0.0, 3.0, 3.0])) == (1,)
+        index, peak = _best_per_level(np.array([[0.0, 3.0, 3.0]]))
+        assert index.tolist() == [1]
+        assert peak.tolist() == [3.0]
 
 
 class TestMaximizeMetric:
@@ -363,6 +377,29 @@ class TestParetoScan:
             pareto_scan(0.5, GHZ10, GridSpec())
 
 
+#: (id, r grid, base, grid, engine, convention) of the sweep-equals-searches test.
+SWEEP_CASES = [
+    (
+        "structured-paper", [0.0, 0.15, 0.4, 0.7, 1.0], ghz(10, math.pi / 3), SMALL,
+        Engine.STRUCTURED, Convention.PAPER,
+    ),
+    (
+        "structured-physical", [0.0, 0.15, 0.4, 0.7, 1.0], ghz(10, math.pi / 3), SMALL,
+        Engine.STRUCTURED, Convention.PHYSICAL,
+    ),
+    (
+        "dense-n4", [0.05, 0.3, 0.6], ghz(4),
+        GridSpec(
+            theta_range=(0.0, math.pi, 11),
+            eta_range=(0.0, 2.0 * math.pi, 2),
+            refine_iters=2,
+        ),
+        Engine.DENSE, Convention.PAPER,
+    ),
+    ("one-level", [0.35], GHZ10, SMALL, Engine.STRUCTURED, Convention.PAPER),
+]
+
+
 class TestSweep:
     def test_information_sweep_brackets_the_collapse(self):
         results = sweep_r(Objective.QFI, [0.8, 0.9], GHZ10)
@@ -396,42 +433,30 @@ class TestSweep:
         assert res.baseline == direct
 
     @pytest.mark.parametrize(
-        ("rs", "p_base", "grid", "engine", "convention"),
+        ("mode", "rs", "p_base", "grid", "engine", "convention"),
         [
             pytest.param(
-                [0.0, 0.15, 0.4, 0.7, 1.0], ghz(10, math.pi / 3), SMALL,
-                Engine.STRUCTURED, Convention.PAPER, id="structured-paper",
-            ),
-            pytest.param(
-                [0.0, 0.15, 0.4, 0.7, 1.0], ghz(10, math.pi / 3), SMALL,
-                Engine.STRUCTURED, Convention.PHYSICAL, id="structured-physical",
-            ),
-            pytest.param(
-                [0.05, 0.3, 0.6], ghz(4),
-                GridSpec(
-                    theta_range=(0.0, math.pi, 11),
-                    eta_range=(0.0, 2.0 * math.pi, 2),
-                    refine_iters=2,
-                ),
-                Engine.DENSE, Convention.PAPER, id="dense-n4",
-            ),
-            pytest.param(
-                [0.35], GHZ10, SMALL, Engine.STRUCTURED, Convention.PAPER,
-                id="one-level",
-            ),
+                mode, *case[1:],
+                id=case[0] if mode == UNIT_PROBABILITY else f"{mode.value}-{case[0]}",
+            )
+            for mode in (UNIT_PROBABILITY, Objective.QFI, Objective.FIDELITY)
+            for case in SWEEP_CASES
         ],
     )
     def test_unit_probability_sweep_is_one_search_per_level(
-        self, rs, p_base, grid, engine, convention
+        self, mode, rs, p_base, grid, engine, convention
     ):
-        # The batched search over the whole r grid returns, field for
-        # field, what one constrained search per decay level returns.
-        swept = sweep_r(UNIT_PROBABILITY, rs, p_base, grid, engine, convention)
+        # A sweep returns, field for field, what one search per decay level
+        # returns: the batched constrained search, or one free maximization
+        # per level.
+        swept = sweep_r(mode, rs, p_base, grid, engine, convention)
         expected = [
             dataclasses.replace(
                 maximize_fidelity_at_unit_probability(
                     r, p_base, grid, engine, convention
-                ),
+                )
+                if mode == UNIT_PROBABILITY
+                else maximize_metric(mode, r, p_base, grid, engine, convention),
                 baseline=do_nothing_baseline(
                     dataclasses.replace(p_base, theta=math.pi / 2, eta=0.0, r=r)
                 ),
@@ -464,3 +489,48 @@ class TestStructuredScalarConsistency:
             extended_theta=True,
         )
         assert res.companion == aggregate_metrics(point, Convention.PAPER)
+
+
+class TestGridEvaluation:
+    def test_only_the_information_objective_sums_the_classes(self, monkeypatch):
+        # Probability, fidelity and the trade-off scan use no information,
+        # so their grids never reach the QFI class sum of metrics_grid.
+        runs = {
+            "pareto": lambda: pareto_scan(0.4, GHZ10, TestParetoScan.GRID),
+            "fidelity": lambda: maximize_metric(Objective.FIDELITY, 0.4, GHZ10, SMALL),
+            "probability": lambda: maximize_metric(
+                Objective.PROBABILITY, 0.4, GHZ10, SMALL
+            ),
+        }
+        expected = {name: run() for name, run in runs.items()}
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("metrics_grid called")
+
+        monkeypatch.setattr(optimize, "metrics_grid", refuse)
+        assert {name: run() for name, run in runs.items()} == expected
+        with pytest.raises(RuntimeError, match="metrics_grid called"):
+            maximize_metric(Objective.QFI, 0.4, GHZ10, SMALL)
+
+    def test_a_level_without_candidates_on_its_first_grid_raises(self, monkeypatch):
+        def undefined(n, gamma, phi0, r, theta, eta, convention):
+            shape = np.broadcast(r, theta, eta).shape
+            return (np.full(shape, complex(math.nan)),) * 3
+
+        monkeypatch.setattr(optimize, "metrics_grid", undefined)
+        with pytest.raises(DegeneracyError, match="no evaluable grid point"):
+            maximize_metric(Objective.QFI, 0.4, GHZ10, SMALL)
+
+        # Above r = 1/2 no point reaches unit probability; the level below
+        # is still searched, and its result is unchanged.
+        expected = maximize_fidelity_at_unit_probability(0.2, GHZ10, SMALL)
+        real = optimize._probability_fidelity
+
+        def off_unit_above_half(n, gamma, r, theta, eta, convention):
+            prob, fid = real(n, gamma, r, theta, eta, convention)
+            return np.where(np.asarray(r) > 0.5, 0.5, prob), fid
+
+        monkeypatch.setattr(optimize, "_probability_fidelity", off_unit_above_half)
+        assert maximize_fidelity_at_unit_probability(0.2, GHZ10, SMALL) == expected
+        with pytest.raises(ConstraintInfeasibleError, match="no grid point"):
+            sweep_r(UNIT_PROBABILITY, [0.2, 0.8], GHZ10, SMALL)
