@@ -33,7 +33,7 @@ from .params import (
     MetricsRow,
     ProtocolParams,
 )
-from .structured import _probability_fidelity, aggregate_metrics, metrics_grid
+from .structured import _aggregates, aggregate_metrics
 
 __all__ = [
     "Objective",
@@ -197,27 +197,32 @@ def _grid_values(
     etas,
     engine: Engine,
     convention: Convention,
-    with_qfi: bool,
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Real (probability, fidelity, qfi) at broadcast (r, theta, eta) points.
+    fields: tuple[str, ...],
+) -> dict[str, np.ndarray]:
+    """Real grids of the named ``fields`` at broadcast (r, theta, eta) points.
 
-    ``qfi`` is None unless ``with_qfi``.  The structured engine evaluates
-    all points in one vectorized pass, and sums the information over the
-    excitation classes only ``with_qfi``; the other engines are evaluated
-    pointwise.  Points whose record-average is numerically undefined come
-    back as NaN.
+    ``fields`` names :class:`MetricsRow` metrics (``probability``,
+    ``fidelity``, ``qfi``), and only those come back, keyed by name.  The
+    structured engine evaluates all points in one vectorized pass that
+    computes only the fields asked for, plus the probability it needs for
+    the undefined points (see :func:`~ghzprotect.structured._aggregates`):
+    the fidelity only if named, the QFI class sum only if named.  The other
+    engines are evaluated pointwise.  Points whose record-average is
+    numerically undefined come back as NaN.
     """
     if engine is Engine.STRUCTURED:
-        n, gamma = p_base.n_qubits, p_base.gamma
-        if with_qfi:
-            grids = metrics_grid(n, gamma, p_base.phi0, r, thetas, etas, convention)
-        else:
-            grids = _probability_fidelity(n, gamma, r, thetas, etas, convention)
-            grids += (None,)
-        return tuple(None if z is None else np.ascontiguousarray(z.real) for z in grids)
+        grids = _aggregates(
+            p_base.n_qubits, p_base.gamma, r, thetas, etas, convention,
+            fidelity="fidelity" in fields, qfi="qfi" in fields,
+        )
+        return {
+            name: np.ascontiguousarray(grid.real)
+            for name, grid in zip(("probability", "fidelity", "qfi"), grids)
+            if name in fields
+        }
 
     rs, thetas, etas = np.broadcast_arrays(r, thetas, etas)
-    grids = np.full((3,) + thetas.shape, math.nan)
+    grids = {name: np.full(thetas.shape, math.nan) for name in fields}
     for i in np.ndindex(thetas.shape):
         p = dataclasses.replace(
             p_base, theta=float(thetas[i]), eta=float(etas[i]), r=float(rs[i]),
@@ -227,9 +232,9 @@ def _grid_values(
             row = _point_row(p, engine, convention)
         except DegeneracyError:
             continue
-        grids[(slice(None),) + i] = row.probability, row.fidelity, row.qfi
-    prob, fid, qfi = grids
-    return prob, fid, qfi if with_qfi else None
+        for name, grid in grids.items():
+            grid[i] = getattr(row, name)
+    return grids
 
 
 def _best_per_level(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,6 +249,26 @@ def _best_per_level(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flat = np.where(np.isfinite(flat), flat, -np.inf)
     index = np.argmax(flat, axis=1)
     return index, flat[np.arange(len(flat)), index]
+
+
+def _eta_axis(
+    grid: GridSpec, engine: Engine, eta_matters: bool, unit_probability: bool
+) -> tuple[float, float, int]:
+    """The rotation axis a search evaluates, as an inclusive (lo, hi, steps).
+
+    The unit-probability search pins the angle to 0.  Where the objective
+    cannot read the angle (``eta_matters`` is false: physical-convention
+    probability and information), the structured engine evaluates the
+    one point ``eta_range[0]``: its grids are then bitwise the same along
+    the axis, so the full axis would return that point too, as ties go to
+    the smallest angle.  The pointwise engines keep the full axis.
+    """
+    if unit_probability:
+        return (0.0, 0.0, 1)
+    if not eta_matters and engine is Engine.STRUCTURED:
+        lo = grid.eta_range[0]
+        return (lo, lo, 1)
+    return grid.eta_range
 
 
 def _search(
@@ -265,11 +290,17 @@ def _search(
     only if it is strictly better; a level with no evaluable point on its
     first grid is not searched further.  With ``unit_probability`` the
     rotation axis is the single point 0 and only points with
-    ``|probability - 1| < 1e-9`` compete.  The incumbents are re-evaluated
-    through the scalar path of ``engine``; results, and the error of a
-    level with no candidate, come in the order of ``rs``.
+    ``|probability - 1| < 1e-9`` compete.  The grids hold only the fields
+    the search reads (:func:`_grid_values`), and the rotation axis is the
+    one :func:`_eta_axis` gives.  The incumbents are re-evaluated through
+    the scalar path of ``engine``; results, and the error of a level with
+    no candidate, come in the order of ``rs``.
     """
-    axes = [grid.theta_range, (0.0, 0.0, 1) if unit_probability else grid.eta_range]
+    eta_matters = not unit_probability and (
+        convention is not Convention.PHYSICAL or objective is Objective.FIDELITY
+    )
+    axes = [grid.theta_range, _eta_axis(grid, engine, eta_matters, unit_probability)]
+    fields = (objective.value,) + (("probability",) if unit_probability else ())
     levels = np.arange(len(rs))
     r_col = np.array(rs, dtype=np.float64)[:, None, None]
     windows = [(np.full(len(rs), lo), np.full(len(rs), hi)) for lo, hi, _ in axes]
@@ -287,16 +318,15 @@ def _search(
             np.ascontiguousarray(np.linspace(lo, hi, steps, axis=1))
             for (lo, hi), (_, _, steps) in zip(windows, axes)
         )
-        prob, fid, qfi = _grid_values(
+        grids = _grid_values(
             p_base, r_col, thetas[:, :, None], etas[:, None, :], engine, convention,
-            with_qfi=objective is Objective.QFI,
+            fields,
         )
-        values = {
-            Objective.PROBABILITY: prob, Objective.FIDELITY: fid, Objective.QFI: qfi,
-        }[objective]
+        values = grids[objective.value]
         if unit_probability:
-            values = np.where(np.abs(prob - 1.0) < UNIT_PROBABILITY_TOL, values, np.nan)
-        del prob, fid, qfi  # only the objective's grid stays in memory
+            unit = np.abs(grids["probability"] - 1.0) < UNIT_PROBABILITY_TOL
+            values = np.where(unit, values, np.nan)
+        del grids  # only the objective's grid stays in memory
         index, peak = _best_per_level(values)
         better = peak > best_value
         if iteration == 0:
@@ -313,9 +343,6 @@ def _search(
 
     th_lo, th_hi, _ = grid.theta_range
     et_lo, et_hi, _ = grid.eta_range
-    eta_matters = not unit_probability and (
-        convention is not Convention.PHYSICAL or objective is Objective.FIDELITY
-    )
     results = []
     for level, r in enumerate(rs):
         if not found[level]:
@@ -370,8 +397,11 @@ def maximize_metric(
     angles and decay probability are ignored.  Grid points whose metrics
     are numerically undefined are skipped; if no point at all is
     evaluable a :class:`DegeneracyError` propagates.  The structured
-    engine sums the information over the excitation classes only for the
-    ``qfi`` objective.
+    engine computes on the grid only the field the objective reads: the
+    QFI class sum only for ``qfi``, the fidelity only for ``fidelity``.
+    Under the physical convention, where neither probability nor QFI
+    depends on the rotation angle, it searches those two at the single
+    angle ``eta_range[0]``, which the full axis would also return.
     """
     objective = Objective(objective)
     r = _check_r(r)
@@ -427,9 +457,11 @@ def pareto_scan(
 
     thetas = np.linspace(*grid.theta_range)
     etas = np.linspace(*grid.eta_range)
-    prob, fid, _ = _grid_values(
-        p_base, r, thetas[:, None], etas[None, :], engine, convention, with_qfi=False
+    grids = _grid_values(
+        p_base, r, thetas[:, None], etas[None, :], engine, convention,
+        ("probability", "fidelity"),
     )
+    prob, fid = grids["probability"], grids["fidelity"]
     points = [
         ParetoPoint(float(thetas[i]), float(etas[j]), float(fid[i, j]), float(prob[i, j]))
         for i in range(thetas.size)
@@ -459,7 +491,8 @@ def sweep_r(
     """One optimization per decay level, with the no-protection reference.
 
     ``mode`` is a free objective (``probability`` / ``fidelity`` /
-    ``qfi``), maximized one decay level at a time, or
+    ``qfi``), maximized one decay level at a time with only the
+    objective's field on the grid (see :func:`maximize_metric`), or
     :data:`UNIT_PROBABILITY` for the constrained fidelity search, which
     runs once for the whole grid: each pass evaluates only probability and
     fidelity, for every level at once, and each result equals

@@ -14,6 +14,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -360,16 +361,23 @@ def _broadcast(r, theta, eta) -> tuple[tuple, tuple[int, ...]]:
 
 
 def _closed_forms(
-    n: int, gamma: float, r, theta, eta, convention: Convention, k: np.ndarray
+    n: int,
+    gamma: float,
+    r,
+    theta,
+    eta,
+    convention: Convention,
+    k: np.ndarray,
+    fidelity: bool,
 ):
     """(probability, fidelity, terms) over r and the full-rank theta/eta of _broadcast.
 
     The O(1) forms of :func:`_aggregates`: sum_k C(n,k) a^k b^(n-k) e^(2k-n)
     = e^n (a + b e^-2)^n, with e^n taken whole so that |e^n| <= 1 holds
-    after rounding; both are NaN where |P| < 1e-13.  ``k`` is a class axis
-    ending at class n, and ``terms`` are what the QFI class sum reuses: the
-    factors (c2, s2, u, q, vr^n, w), the phases e^(2k-n) and the
-    |P| < 1e-13 mask.
+    after rounding; both are NaN where |P| < 1e-13, and the fidelity is
+    None unless ``fidelity``.  ``k`` is a class axis ending at class n, and
+    ``terms`` are what the QFI class sum reuses: the factors (c2, s2, u, q,
+    vr^n, w), the phases e^(2k-n) and the |P| < 1e-13 mask.
     """
     c2, s2 = math.cos(gamma / 2.0) ** 2, math.sin(gamma / 2.0) ** 2
     half = theta / 2.0
@@ -380,97 +388,104 @@ def _closed_forms(
     if convention is Convention.PAPER:
         phase = np.exp(1j * eta * (2 * k - n))  # e^(2k-n), a row per class
         e_back = np.exp(-2j * eta)
-        coherence_n = (2.0 * w) ** n  # the corner phases cancel in C + D
     else:
         phase = np.ones(k.shape[:1] + eta.shape, dtype=np.complex128)
         e_back = phase[0]
-        coherence_n = (2.0 * w * np.cos(eta)) ** n
     e_n = phase[-1]
 
     q_back = q * e_back
     p_total = (c2 + s2) * e_n * _int_power(u + vr + q_back, n)
-    fid_num = (c2 * c2 + s2 * s2) * e_n * _int_power(u + q_back, n)
-    fid_num += 2.0 * c2 * s2 * (vr_n * e_n + coherence_n)
     degenerate = np.abs(p_total) < _DEGENERACY_TOL
-    fid = np.where(degenerate, np.nan, fid_num / p_total)
+    fid = None
+    if fidelity:
+        if convention is Convention.PAPER:
+            coherence_n = (2.0 * w) ** n  # the corner phases cancel in C + D
+        else:
+            coherence_n = (2.0 * w * np.cos(eta)) ** n
+        fid_num = (c2 * c2 + s2 * s2) * e_n * _int_power(u + q_back, n)
+        fid_num += 2.0 * c2 * s2 * (vr_n * e_n + coherence_n)
+        fid = np.where(degenerate, np.nan, fid_num / p_total)
     p_total = np.where(degenerate, np.nan, p_total)
     return p_total, fid, (c2, s2, u, q, vr_n, w, phase, degenerate)
 
 
-def _probability_fidelity(
+def _class_sum(n: int, k: np.ndarray, shape: tuple[int, ...], terms) -> np.ndarray:
+    """The QFI of :func:`_aggregates`: its class sum over the full class axis ``k``."""
+    c2, s2, u, q, vr_n, w, phase, degenerate = terms
+    c_abs = math.sqrt(c2 * s2) * w**n  # |C|, the same for every class
+    c_sq = c_abs * c_abs
+
+    # A_k + B_k = pop_a[k] phase[k] + pop_b[k] conj(phase[k]).
+    powers = u**k * q ** k[::-1]
+    pop_a, pop_b = c2 * powers, s2 * powers[::-1]
+    pop_a[n] += s2 * vr_n
+    pop_b[0] += c2 * vr_n
+    plus, minus = pop_a + pop_b, pop_a - pop_b
+    weight = _multiplicities(n).reshape(k.shape) * (4.0 * n**2 * c_sq)
+    drop_below = np.clip(c_abs, _UNDERFLOW_TOL, _DEGENERACY_TOL)
+    pole_below = np.minimum(_DEGENERACY_TOL, 2.0 * c_sq)
+
+    qfi = 0.0
+    block = max(1, _BLOCK_ELEMENTS // max(1, math.prod(shape)))
+    denom = np.empty((min(block, n + 1),) + shape, dtype=np.complex128)
+    for start in range(0, n + 1, block):
+        ks = slice(start, min(start + block, n + 1))
+        d = denom[: ks.stop - start]
+        np.multiply(plus[ks], phase[ks].real, out=d.real)
+        np.multiply(minus[ks], phase[ks].imag, out=d.imag)
+        size = np.abs(d)
+        d[size < drop_below] = np.inf  # a dropped class adds nothing
+        d[size < pole_below] = np.nan
+        np.divide(weight[ks], d, out=d)
+        if block == 1 and start:
+            # One class a block: the same bits as below, since the sum is
+            # never -0 after the first block, without two grid temporaries.
+            qfi += d[0]
+        else:
+            qfi = qfi + d.sum(axis=0)
+    qfi[degenerate] = np.nan
+    return qfi
+
+
+def _aggregates(
     n: int,
     gamma: float,
     r,
     theta,
     eta,
     convention: Convention,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Complex (probability, fidelity) over broadcast r/theta/eta, NaN if undefined.
-
-    Bit for bit the first two outputs of :func:`_aggregates` at each r,
-    without its QFI class sum.
-    """
-    (r, theta, eta), out_shape = _broadcast(r, theta, eta)
-    k = np.full((1,) * (theta.ndim + 1), n)  # class n alone
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p_total, fid, _ = _closed_forms(n, gamma, r, theta, eta, convention, k)
-    return p_total.reshape(out_shape), fid.reshape(out_shape)
-
-
-def _aggregates(
-    n: int,
-    gamma: float,
-    r: float,
-    theta,
-    eta,
-    convention: Convention,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Complex (probability, fidelity, qfi) over broadcast theta/eta, NaN if undefined.
+    fidelity: bool = True,
+    qfi: bool = True,
+) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Complex (probability, fidelity, qfi) over broadcast r/theta/eta, NaN if undefined.
 
     With u = cos^2(theta/2), q = sin^2(theta/2) (1-r) and e = e^{i eta} (paper)
     or 1 (physical), class k has corner populations A_k ~ c2 u^k q^(n-k)
     e^(2k-n) and B_k ~ s2 q^k u^(n-k) e^(n-2k), and |C|^2 = c2 s2 (uq)^n =
     |A_k| |B_k|.  Probability and fidelity collapse to O(1) powers
-    (:func:`_closed_forms`; the unit-probability search evaluates only those,
-    through :func:`_probability_fidelity`).  The QFI sums mult 4 n^2 |C|^2 /
-    (A+B) over the classes, in blocks along a k axis of at most
+    (:func:`_closed_forms`).  The QFI sums mult 4 n^2 |C|^2 / (A+B) over
+    the classes (:func:`_class_sum`), in blocks along a k axis of at most
     _BLOCK_ELEMENTS values.  Below |A+B| = 1e-13 a class is a pole (NaN) if
     |C|^2 > |A+B| / 2, and is dropped if it has underflowed (|A+B| < 1e-14)
     or its populations have cancelled (|A+B| < |C|).
+
+    ``fidelity`` and ``qfi`` select the fields to compute; each skipped
+    field comes back as None, and each computed one has the same bits as
+    when all are computed.  The probability is always computed, since its
+    |P| < 1e-13 mask marks the undefined points of the others.  Without
+    the class sum the phases cover class n alone.  :func:`metrics_grid`
+    and :func:`aggregate_complex` ask for every field; the optimizer asks
+    only for the fields its search reads.
     """
     (r, theta, eta), out_shape = _broadcast(r, theta, eta)
     shape = out_shape or (1,)
-    k = np.arange(n + 1).reshape((n + 1,) + (1,) * len(shape))  # the class axis
+    classes = np.arange(n + 1) if qfi else np.array([n])
+    k = classes.reshape(classes.shape + (1,) * len(shape))  # the class axis
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p_total, fid, (c2, s2, u, q, vr_n, w, phase, degenerate) = _closed_forms(
-            n, gamma, r, theta, eta, convention, k
+        p_total, fid, terms = _closed_forms(
+            n, gamma, r, theta, eta, convention, k, fidelity
         )
-        c_abs = math.sqrt(c2 * s2) * w**n  # |C|, the same for every class
-        c_sq = c_abs * c_abs
+        info = _class_sum(n, k, shape, terms) if qfi else None
 
-        # A_k + B_k = pop_a[k] phase[k] + pop_b[k] conj(phase[k]).
-        powers = u**k * q ** k[::-1]
-        pop_a, pop_b = c2 * powers, s2 * powers[::-1]
-        pop_a[n] += s2 * vr_n
-        pop_b[0] += c2 * vr_n
-        plus, minus = pop_a + pop_b, pop_a - pop_b
-        weight = _multiplicities(n).reshape(k.shape) * (4.0 * n**2 * c_sq)
-        drop_below = np.clip(c_abs, _UNDERFLOW_TOL, _DEGENERACY_TOL)
-        pole_below = np.minimum(_DEGENERACY_TOL, 2.0 * c_sq)
-
-        qfi = 0.0
-        block = max(1, _BLOCK_ELEMENTS // max(1, math.prod(shape)))
-        denom = np.empty((min(block, n + 1),) + shape, dtype=np.complex128)
-        for start in range(0, n + 1, block):
-            ks = slice(start, min(start + block, n + 1))
-            d = denom[: ks.stop - start]
-            np.multiply(plus[ks], phase[ks].real, out=d.real)
-            np.multiply(minus[ks], phase[ks].imag, out=d.imag)
-            size = np.abs(d)
-            d[size < drop_below] = np.inf  # a dropped class adds nothing
-            d[size < pole_below] = np.nan
-            qfi = qfi + np.divide(weight[ks], d, out=d).sum(axis=0)
-        qfi[degenerate] = np.nan
-
-    return tuple(z.reshape(out_shape) for z in (p_total, fid, qfi))
+    return tuple(None if z is None else z.reshape(out_shape) for z in (p_total, fid, info))

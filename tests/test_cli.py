@@ -6,9 +6,14 @@ covering the config layering, serialization contract, and exit codes.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ghzprotect import cli
 from ghzprotect.cli import (
     FIGURE_IDS,
     METRICS_COLUMNS,
@@ -322,6 +327,32 @@ class TestSweepCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("r, theta_star, eta_star, value, baseline_qfi", [
+        ("0", 1.5707963267948966, 5.4977882607928583, 17065640.594496481, 100.0),
+        ("0.4", 1.8234764390655456, 5.4977882607928583, 943576.14457306021,
+         1.2019298781623444),
+        ("0.8", 2.3005237928546518, 5.4977904948143008, 95.682882702349801,
+         1.8494198647297277e-05),
+    ])
+    def test_information_row_keeps_its_bits(
+        self, capsys, r, theta_star, eta_star, value, baseline_qfi
+    ):
+        """Rows of figure 2a at the default grid, to the last bit.
+
+        These are pole values of the paper-convention search (ROADMAP
+        item 2 will replace them), pinned so that work on the kernel or
+        the search cannot move a bit of them unnoticed.
+        """
+        code, out, _ = run_cli(capsys, [
+            "sweep", "--objective", "qfi", "--r-from", r, "--r-to", r,
+        ])
+        assert code == 0
+        _, (row,) = parse_table(out)
+        assert float(row["theta_star"]) == theta_star
+        assert float(row["eta_star"]) == eta_star
+        assert float(row["value"]) == value
+        assert float(row["baseline_qfi"]) == baseline_qfi
+
 
 class TestParetoCommand:
     def test_identity_scan_contains_perfect_point(self, capsys):
@@ -481,3 +512,22 @@ class TestUsageErrors:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+
+def test_one_process_runs_many_commands_as_fresh_ones(capsys):
+    # The parser is built once per process and reused: a usage error in
+    # between leaves later commands as a fresh interpreter would run them.
+    sweep = ["sweep", "--r-from", "0", "--r-to", "0.2", "--r-step", "0.1", *COARSE]
+    metrics = ["metrics", "--n", "4", "--r", "0.3", "--theta", "1.1", "--eta", "0.7"]
+    in_process = [run_cli(capsys, sweep), run_cli(capsys, ["metrics", "--order", "3"]),
+                  run_cli(capsys, metrics)]
+    assert [code for code, _, _ in in_process] == [0, 2, 0]
+    assert cli._parser() is cli._parser()
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv, (_, out, _) in ((sweep, in_process[0]), (metrics, in_process[2])):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ghzprotect.cli", *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out == fresh.stdout

@@ -492,45 +492,102 @@ class TestStructuredScalarConsistency:
 
 
 class TestGridEvaluation:
+    @staticmethod
+    def record_fields(monkeypatch):
+        """Patch the kernel entry to log the fields each grid evaluation asks for."""
+        asked = []
+        real = optimize._aggregates
+
+        def recording(*args, fidelity=True, qfi=True):
+            asked.append((fidelity, qfi))
+            return real(*args, fidelity=fidelity, qfi=qfi)
+
+        monkeypatch.setattr(optimize, "_aggregates", recording)
+        return asked
+
     def test_only_the_information_objective_sums_the_classes(self, monkeypatch):
-        # Probability, fidelity and the trade-off scan use no information,
-        # so their grids never reach the QFI class sum of metrics_grid.
+        # Each search evaluates only the fields it reads: the trade-off scan
+        # and the fidelity search skip the QFI class sum, the QFI search
+        # skips the fidelity, and the probability search skips both.
         runs = {
             "pareto": lambda: pareto_scan(0.4, GHZ10, TestParetoScan.GRID),
             "fidelity": lambda: maximize_metric(Objective.FIDELITY, 0.4, GHZ10, SMALL),
             "probability": lambda: maximize_metric(
                 Objective.PROBABILITY, 0.4, GHZ10, SMALL
             ),
+            "qfi": lambda: maximize_metric(Objective.QFI, 0.4, GHZ10, SMALL),
         }
         expected = {name: run() for name, run in runs.items()}
-
-        def refuse(*args, **kwargs):
-            raise RuntimeError("metrics_grid called")
-
-        monkeypatch.setattr(optimize, "metrics_grid", refuse)
-        assert {name: run() for name, run in runs.items()} == expected
-        with pytest.raises(RuntimeError, match="metrics_grid called"):
-            maximize_metric(Objective.QFI, 0.4, GHZ10, SMALL)
+        asked = self.record_fields(monkeypatch)
+        wanted = {
+            "pareto": (True, False),
+            "fidelity": (True, False),
+            "probability": (False, False),
+            "qfi": (False, True),
+        }
+        for name, run in runs.items():
+            asked.clear()
+            assert run() == expected[name]
+            assert asked and set(asked) == {wanted[name]}, name
 
     def test_a_level_without_candidates_on_its_first_grid_raises(self, monkeypatch):
-        def undefined(n, gamma, phi0, r, theta, eta, convention):
-            shape = np.broadcast(r, theta, eta).shape
-            return (np.full(shape, complex(math.nan)),) * 3
+        def undefined(n, gamma, r, theta, eta, convention, fidelity=True, qfi=True):
+            grid = np.full(np.broadcast(r, theta, eta).shape, complex(math.nan))
+            return grid, grid if fidelity else None, grid if qfi else None
 
-        monkeypatch.setattr(optimize, "metrics_grid", undefined)
+        monkeypatch.setattr(optimize, "_aggregates", undefined)
         with pytest.raises(DegeneracyError, match="no evaluable grid point"):
             maximize_metric(Objective.QFI, 0.4, GHZ10, SMALL)
+        monkeypatch.undo()
 
         # Above r = 1/2 no point reaches unit probability; the level below
         # is still searched, and its result is unchanged.
         expected = maximize_fidelity_at_unit_probability(0.2, GHZ10, SMALL)
-        real = optimize._probability_fidelity
+        real = optimize._aggregates
 
-        def off_unit_above_half(n, gamma, r, theta, eta, convention):
-            prob, fid = real(n, gamma, r, theta, eta, convention)
-            return np.where(np.asarray(r) > 0.5, 0.5, prob), fid
+        def off_unit_above_half(n, gamma, r, theta, eta, convention, **fields):
+            prob, fid, qfi = real(n, gamma, r, theta, eta, convention, **fields)
+            return np.where(np.asarray(r) > 0.5, 0.5, prob), fid, qfi
 
-        monkeypatch.setattr(optimize, "_probability_fidelity", off_unit_above_half)
+        monkeypatch.setattr(optimize, "_aggregates", off_unit_above_half)
         assert maximize_fidelity_at_unit_probability(0.2, GHZ10, SMALL) == expected
         with pytest.raises(ConstraintInfeasibleError, match="no grid point"):
             sweep_r(UNIT_PROBABILITY, [0.2, 0.8], GHZ10, SMALL)
+
+    @pytest.mark.parametrize("objective", [Objective.PROBABILITY, Objective.QFI])
+    def test_physical_searches_pin_the_rotation_axis(self, monkeypatch, objective):
+        # Physical probability and information never read the rotation
+        # angle, so the structured search evaluates one angle per theta and
+        # returns, field by field, what the search over the full axis does.
+        rs = [0.0, 0.3, 0.8, 1.0]
+        grid = dataclasses.replace(SMALL, eta_range=(0.25, 6.0, 41))
+        points = []
+        real = optimize._aggregates
+
+        def counting(n, gamma, r, theta, eta, convention, **fields):
+            points.append(np.broadcast(r, theta, eta).size)
+            return real(n, gamma, r, theta, eta, convention, **fields)
+
+        monkeypatch.setattr(optimize, "_aggregates", counting)
+        run = lambda: sweep_r(  # noqa: E731
+            objective, rs, GHZ10, grid, convention=Convention.PHYSICAL
+        )
+        pinned = run()
+        assert sum(points) == len(rs) * 41 * (1 + grid.refine_iters)
+        assert {res.eta_star for res in pinned} == {0.25}
+
+        points.clear()
+        monkeypatch.setattr(optimize, "_eta_axis", lambda grid, *args: grid.eta_range)
+        full = run()
+        assert sum(points) == len(rs) * grid.evaluation_count
+        for a, b in zip(pinned, full):
+            for field in dataclasses.fields(OptResult):
+                assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+    def test_pointwise_engines_keep_the_full_rotation_axis(self):
+        grid = GridSpec(
+            theta_range=(0.0, math.pi, 3), eta_range=(0.0, 1.0, 3), refine_iters=0
+        )
+        assert optimize._eta_axis(grid, Engine.DENSE, False, False) == (0.0, 1.0, 3)
+        assert optimize._eta_axis(grid, Engine.STRUCTURED, False, False) == (0.0, 0.0, 1)
+        assert optimize._eta_axis(grid, Engine.STRUCTURED, True, False) == (0.0, 1.0, 3)

@@ -26,7 +26,7 @@ from ghzprotect.params import (
 from ghzprotect.structured import (
     BranchElements,
     DiagProduct,
-    _probability_fidelity,
+    _aggregates,
     aggregate_complex,
     aggregate_metrics,
     branch_elements,
@@ -384,15 +384,70 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def test_probability_fidelity_over_an_r_axis_is_the_grid_at_each_r(
     n, gamma, rs, thetas, eta, conv
 ):
-    # One call with r along its own axis gives, row by row, the very bits
-    # of metrics_grid's probability and fidelity at that r.
+    # One call without the class sum, with r along its own axis, gives row
+    # by row the very bits of metrics_grid's probability and fidelity at
+    # that r.
     thetas = np.array(thetas)
     etas = np.full(thetas.shape, eta)
-    prob, fid = _probability_fidelity(
-        n, gamma, np.array(rs)[:, None], thetas, etas, conv
+    prob, fid, qfi = _aggregates(
+        n, gamma, np.array(rs)[:, None], thetas, etas, conv, qfi=False
     )
+    assert qfi is None
     assert prob.shape == fid.shape == (len(rs), thetas.size)
     for i, r in enumerate(rs):
         grid_prob, grid_fid, _ = metrics_grid(n, gamma, 0.0, r, thetas, etas, conv)
         assert _same_bits(prob[i], grid_prob)
         assert _same_bits(fid[i], grid_fid)
+
+
+#: Grid sizes of the field property: the scalar path's single point, one
+#: block of all classes, and one class a block (above 2^14 points).
+_GRID_SIZES = [(1, 1), (2, 4), (129, 130)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 200),
+    gamma=st.floats(0.01, math.pi - 0.01),
+    r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+    size=st.sampled_from(_GRID_SIZES),
+    conv=st.sampled_from(list(Convention)),
+)
+def test_each_computed_field_has_the_bits_of_the_full_grid(n, gamma, r, size, conv):
+    # Whatever fields a caller asks for, each one computed is metrics_grid's
+    # field bit for bit, NaN included, and each one skipped is None.
+    thetas = np.linspace(0.0, math.pi, size[0])[:, None]
+    etas = np.linspace(0.0, 2 * math.pi, size[1])[None, :]
+    assert size[0] * size[1] in (1, 8) or size[0] * size[1] > 1 << 14
+    full = metrics_grid(n, gamma, 0.0, r, thetas, etas, conv)
+    for fidelity in (False, True):
+        for qfi in (False, True):
+            part = _aggregates(
+                n, gamma, r, thetas, etas, conv, fidelity=fidelity, qfi=qfi
+            )
+            wanted = (True, fidelity, qfi)
+            for want, got, expected in zip(wanted, part, full):
+                if want:
+                    assert _same_bits(got, expected)
+                else:
+                    assert got is None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 200),
+    gamma=st.floats(0.01, math.pi - 0.01),
+    r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+    conv=st.sampled_from(list(Convention)),
+)
+def test_a_class_per_block_sums_as_all_classes_in_one_block(n, gamma, r, conv):
+    # Above 2^14 points the class sum takes one class a block, in place;
+    # a row of 130 points takes all classes in one block.  Both add the
+    # classes in the same order, so the whole grid has, row by row, the
+    # bits of the rows evaluated one at a time.
+    thetas = np.linspace(0.0, math.pi, 129)[:, None]
+    etas = np.linspace(0.0, 2 * math.pi, 130)[None, :]
+    whole = metrics_grid(n, gamma, 0.0, r, thetas, etas, conv)[2]
+    for i in range(thetas.shape[0]):
+        row = metrics_grid(n, gamma, 0.0, r, thetas[i : i + 1], etas, conv)[2]
+        assert _same_bits(whole[i : i + 1], row)
