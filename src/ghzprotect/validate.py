@@ -47,6 +47,7 @@ from .params import (
     branch_classes,
 )
 from .structured import (
+    _aggregates,
     aggregate_complex,
     aggregate_metrics,
     branch_elements,
@@ -266,25 +267,34 @@ def _check_closedform_weight_vs_structured(rng) -> tuple[bool, str]:
     etas = np.linspace(0.0, 2.0 * math.pi, 10)
     rs = np.linspace(0.0, 1.0, 5)
     for n in range(1, 13):
-        for theta in thetas:
-            for eta in etas:
-                for r in rs:
-                    p = ProtocolParams(
-                        n_qubits=n,
-                        gamma=math.pi / 2,
-                        phi0=0.0,
-                        theta=float(theta),
-                        eta=float(eta),
-                        r=float(r),
-                        extended_theta=True,
+        # One kernel call per n over the (theta, eta, r) grid, in loop order.
+        # Its P has the scalar path's bits; its QFI is read only for the
+        # NaN that makes the scalar path raise.
+        totals, _, qfis = _aggregates(
+            n, math.pi / 2, rs, thetas[:, None, None], etas[:, None],
+            Convention.PAPER,
+        )
+        undefined = np.isnan(totals) | np.isnan(qfis)
+        for (i, j, m), batch_total in np.ndenumerate(totals):
+            theta, eta, r = thetas[i], etas[j], rs[m]
+            p = ProtocolParams(
+                n_qubits=n,
+                gamma=math.pi / 2,
+                phi0=0.0,
+                theta=float(theta),
+                eta=float(eta),
+                r=float(r),
+                extended_theta=True,
+            )
+            verbatim = prob_total(p, FormulaVariant.VERBATIM)
+            if undefined[i, j, m] or abs(verbatim - batch_total) > 1e-9:
+                # The scalar path words the failure, or raises.
+                total, _, _ = aggregate_complex(p, Convention.PAPER)
+                if abs(verbatim - total) > 1e-9:
+                    return _fail(
+                        f"n={n} theta={theta!r} eta={eta!r} r={r!r} "
+                        f"delta={abs(verbatim - total)}"
                     )
-                    verbatim = prob_total(p, FormulaVariant.VERBATIM)
-                    total, _, _ = aggregate_complex(p, Convention.PAPER)
-                    if abs(verbatim - total) > 1e-9:
-                        return _fail(
-                            f"n={n} theta={theta!r} eta={eta!r} r={r!r} "
-                            f"delta={abs(verbatim - total)}"
-                        )
     return _ok()
 
 
@@ -350,14 +360,15 @@ def _check_rotation_identity_zero(rng) -> tuple[bool, str]:
 
 def _check_unit_weight_at_zero_rotation(rng) -> tuple[bool, str]:
     thetas = np.linspace(0.0, math.pi, 100)
-    for r in np.linspace(0.0, 1.0, 100):
-        prob_c, _, _ = metrics_grid(
-            10, math.pi / 2, 0.0, float(r), thetas, np.zeros_like(thetas),
-            Convention.PAPER,
-        )
-        worst = float(np.max(np.abs(prob_c - 1.0)))
-        if worst > 1e-12:
-            return _fail(f"r={r!r} worst|P-1|={worst}")
+    rs = np.linspace(0.0, 1.0, 100)
+    prob_c, _, _ = _aggregates(
+        10, math.pi / 2, rs[:, None], thetas, 0.0, Convention.PAPER,
+        fidelity=False, qfi=False,
+    )
+    worst = np.max(np.abs(prob_c - 1.0), axis=1)  # a row per r
+    for r, row_worst in zip(rs, worst):
+        if row_worst > 1e-12:
+            return _fail(f"r={r!r} worst|P-1|={float(row_worst)}")
     return _ok()
 
 

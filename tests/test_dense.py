@@ -7,10 +7,14 @@ parameter draws.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ghzprotect import dense
 from ghzprotect.dense import (
     DENSE_MAX_QUBITS,
     BranchRun,
@@ -26,6 +30,7 @@ from ghzprotect.dense import (
     run_protocol_average,
     run_protocol_branch,
 )
+from ghzprotect.operators import adc_kraus, flip_op, rotation_op, weak_meas_op
 from ghzprotect.params import Convention, DegeneracyError, ProtocolParams
 
 
@@ -195,6 +200,109 @@ class TestRunProtocolBranch:
         p = make_params(n_qubits=DENSE_MAX_QUBITS + 1)
         with pytest.raises(ValueError, match="exceeds"):
             run_protocol_branch(p, "0" * (DENSE_MAX_QUBITS + 1), Convention.PHYSICAL)
+
+
+def record_on_its_own(p, pattern, convention):
+    """One record evolved from the input alone, site by site (the reference).
+
+    The per-record loop the prefix-tree walk replaced: every site's Kraus
+    operators are lifted afresh and the rotation chain is built after the
+    damping, so nothing is shared between records.
+    """
+    n = p.n_qubits
+    bits = [int(ch) for ch in pattern]
+    rho = ghz_state(n, p.gamma, p.phi0).rho
+    e0, e1 = adc_kraus(p.r)
+    for site, o in enumerate(bits):
+        m = weak_meas_op(o, p.theta)
+        f = flip_op(o)
+        left = np.eye(2**site, dtype=np.complex128)
+        right = np.eye(2 ** (n - site - 1), dtype=np.complex128)
+        kraus = [np.kron(np.kron(left, f @ e @ f @ m), right) for e in (e0, e1)]
+        rho = sum(k @ rho @ k.conj().T for k in kraus)
+
+    rot = np.eye(1, dtype=np.complex128)
+    for o in bits:
+        rot = np.kron(rot, rotation_op(o, p.eta))
+    if convention is Convention.PHYSICAL:
+        rho = rot @ rho @ rot.conj().T
+    else:
+        rho = rot @ rho @ rot
+    return BranchRun(pattern, complex(np.trace(rho)), DenseState(n, rho))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegeneracyError as exc:
+        return f"DegeneracyError: {exc}"
+
+
+def assert_same_branch(got, want):
+    assert got.pattern == want.pattern
+    assert got.probability == want.probability
+    assert got.state.rho.tobytes() == want.state.rho.tobytes()
+
+
+class TestPrefixTree:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, DENSE_MAX_QUBITS),
+        gamma=st.floats(0.01, math.pi - 0.01),
+        phi0=st.floats(0.0, 2 * math.pi),
+        theta=st.floats(0.0, math.pi),
+        eta=st.floats(0.0, 2 * math.pi),
+        r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+        convention=st.sampled_from(Convention),
+        record=st.integers(0, 2**DENSE_MAX_QUBITS - 1),
+    )
+    def test_every_output_has_the_bits_of_records_evolved_alone(
+        self, n, gamma, phi0, theta, eta, r, convention, record
+    ):
+        p = ProtocolParams(
+            n_qubits=n, gamma=gamma, phi0=phi0, theta=theta, eta=eta, r=r,
+            extended_theta=True,
+        )
+        patterns = [format(idx, f"0{n}b") for idx in range(2**n)]
+        reference = [record_on_its_own(p, pat, convention) for pat in patterns]
+
+        branches = run_all_branches(p, convention)
+        assert [b.pattern for b in branches] == patterns
+        for got, want in zip(branches, reference):
+            assert_same_branch(got, want)
+        pattern = patterns[record % 2**n]
+        assert_same_branch(
+            run_protocol_branch(p, pattern, convention),
+            reference[record % 2**n],
+        )
+
+        with mock.patch.object(dense, "run_all_branches", lambda *_: reference):
+            want_row = outcome(aggregate_metrics_dense, p, convention)
+            want_average = outcome(run_protocol_average, p, convention)
+        assert outcome(aggregate_metrics_dense, p, convention) == want_row
+        average = outcome(run_protocol_average, p, convention)
+        if isinstance(want_average, str):
+            assert average == want_average
+        else:
+            assert average[1] == want_average[1]
+            assert average[0].rho.tobytes() == want_average[0].rho.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_each_site_and_bit_is_lifted_once(self, monkeypatch, n):
+        lifts = []
+
+        def counting_lift(op, site, n_qubits):
+            lifts.append((site, n_qubits))
+            return original(op, site, n_qubits)
+
+        original = dense._lift
+        monkeypatch.setattr(dense, "_lift", counting_lift)
+        p = make_params(n_qubits=n)
+        run_all_branches(p, Convention.PAPER)
+        assert len(lifts) == 4 * n  # N 2^(N+1) when each record lifted its own
+        lifts.clear()
+        run_protocol_branch(p, "1" * n, Convention.PAPER)
+        assert len(lifts) == 2 * n
 
 
 class TestRunProtocolAverage:

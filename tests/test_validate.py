@@ -1,0 +1,165 @@
+"""Tests for the batched checks of the self-validation suite.
+
+Two checks evaluate the structured kernel once over a grid instead of once
+per point.  Their reports must read as the per-point loops they replaced
+did, on a pass and on a failure, and the kernel calls are counted.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ghzprotect import structured, validate
+from ghzprotect.closedform import prob_total
+from ghzprotect.params import (
+    Convention,
+    DegeneracyError,
+    FormulaVariant,
+    ProtocolParams,
+)
+from ghzprotect.structured import aggregate_complex, metrics_grid
+
+THETAS = np.linspace(0.0, math.pi, 10)
+ETAS = np.linspace(0.0, 2.0 * math.pi, 10)
+RS = np.linspace(0.0, 1.0, 5)
+
+
+def grid_point(n, i, j, m):
+    return ProtocolParams(
+        n_qubits=n,
+        gamma=math.pi / 2,
+        phi0=0.0,
+        theta=float(THETAS[i]),
+        eta=float(ETAS[j]),
+        r=float(RS[m]),
+        extended_theta=True,
+    )
+
+
+def counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the scalar path was called on a passing run")
+
+
+def nan_at(kernel, p, field):
+    """The kernel, reading NaN in one field at the point of p."""
+
+    def patched(n, gamma, r, theta, eta, convention, **kwargs):
+        out = list(kernel(n, gamma, r, theta, eta, convention, **kwargs))
+        if n == p.n_qubits:
+            hit = (
+                (np.asarray(theta) == p.theta)
+                & (np.asarray(eta) == p.eta)
+                & (np.asarray(r) == p.r)
+            )
+            out[field] = np.where(hit, np.nan, out[field])
+        return tuple(out)
+
+    return patched
+
+
+class TestClosedformWeightCheck:
+    check = staticmethod(validate._check_closedform_weight_vs_structured)
+
+    def test_a_pass_calls_the_kernel_once_per_n(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(validate, "_aggregates", counting(calls, validate._aggregates))
+        monkeypatch.setattr(validate, "aggregate_complex", refuse)
+        assert self.check(np.random.default_rng(0)) == (True, "")
+        assert [args[0] for args in calls] == list(range(1, 13))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((5, 2, 7, 4), (5, 6, 1, 0)),  # earlier theta, later r
+            ((7, 4, 2, 4), (7, 4, 5, 0)),  # earlier eta, later r
+            ((3, 9, 9, 4), (8, 0, 0, 0)),  # earlier n
+        ],
+    )
+    def test_a_failure_names_the_first_point_in_loop_order(
+        self, monkeypatch, first, second
+    ):
+        offset = {grid_point(*first): 1e-6, grid_point(*second): 2e-6}
+
+        def offset_prob_total(p, variant):
+            return prob_total(p, variant) + offset.get(p, 0.0)
+
+        monkeypatch.setattr(validate, "prob_total", offset_prob_total)
+        # The per-point loop's text, from the scalar path at the first point.
+        n, i, j, m = first
+        p = grid_point(*first)
+        verbatim = prob_total(p, FormulaVariant.VERBATIM) + 1e-6
+        total, _, _ = aggregate_complex(p, Convention.PAPER)
+        expected = (
+            f"n={n} theta={THETAS[i]!r} eta={ETAS[j]!r} r={RS[m]!r} "
+            f"delta={abs(verbatim - total)}"
+        )
+        assert self.check(np.random.default_rng(0)) == (False, expected)
+
+    @pytest.mark.parametrize("field", [0, 2], ids=["probability", "qfi"])
+    def test_an_undefined_point_raises_the_scalar_message(self, monkeypatch, field):
+        p = grid_point(4, 3, 6, 2)
+        monkeypatch.setattr(
+            structured, "_aggregates", nan_at(structured._aggregates, p, field)
+        )
+        monkeypatch.setattr(
+            validate, "_aggregates", nan_at(validate._aggregates, p, field)
+        )
+        with pytest.raises(DegeneracyError) as expected:
+            aggregate_complex(p, Convention.PAPER)
+        with pytest.raises(DegeneracyError) as raised:
+            self.check(np.random.default_rng(0))
+        assert str(raised.value) == str(expected.value)
+
+    def test_the_scalar_path_settles_a_point_the_batch_flags(self, monkeypatch):
+        p = grid_point(4, 3, 6, 2)
+        scalar_calls = []
+        monkeypatch.setattr(
+            validate, "_aggregates", nan_at(validate._aggregates, p, 2)
+        )
+        monkeypatch.setattr(
+            validate, "aggregate_complex", counting(scalar_calls, aggregate_complex)
+        )
+        assert self.check(np.random.default_rng(0)) == (True, "")
+        assert scalar_calls == [(p, Convention.PAPER)]
+
+
+class TestUnitWeightCheck:
+    check = staticmethod(validate._check_unit_weight_at_zero_rotation)
+
+    def test_a_pass_calls_the_kernel_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(validate, "_aggregates", counting(calls, validate._aggregates))
+        assert self.check(np.random.default_rng(0)) == (True, "")
+        assert len(calls) == 1
+
+    def test_a_failure_names_the_first_r_over_tolerance(self, monkeypatch):
+        rs = np.linspace(0.0, 1.0, 100)
+        offset = {37: 3e-12, 80: 5e-12}
+        kernel = validate._aggregates
+
+        def offset_kernel(*args, **kwargs):
+            prob, fid, qfi = kernel(*args, **kwargs)
+            for row, delta in offset.items():
+                prob[row] += delta
+            return prob, fid, qfi
+
+        monkeypatch.setattr(validate, "_aggregates", offset_kernel)
+        # The per-r loop's text at the first offset row.
+        thetas = np.linspace(0.0, math.pi, 100)
+        r = rs[37]
+        prob_c, _, _ = metrics_grid(
+            10, math.pi / 2, 0.0, float(r), thetas, np.zeros_like(thetas),
+            Convention.PAPER,
+        )
+        worst = float(np.max(np.abs(prob_c + offset[37] - 1.0)))
+        expected = f"r={r!r} worst|P-1|={worst}"
+        assert self.check(np.random.default_rng(0)) == (False, expected)
