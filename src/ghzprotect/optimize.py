@@ -204,16 +204,18 @@ def _grid_values(
     ``fields`` names :class:`MetricsRow` metrics (``probability``,
     ``fidelity``, ``qfi``), and only those come back, keyed by name.  The
     structured engine evaluates all points in one vectorized pass that
-    computes only the fields asked for, plus the probability it needs for
-    the undefined points (see :func:`~ghzprotect.structured._aggregates`):
-    the fidelity only if named, the QFI class sum only if named.  The other
-    engines are evaluated pointwise.  Points whose record-average is
+    computes only the fields asked for, plus the probability where the
+    others need its undefined points (see
+    :func:`~ghzprotect.structured._aggregates`): the fidelity only if
+    named, the QFI class sum only if named.  The other engines are
+    evaluated pointwise.  Points whose record-average is
     numerically undefined come back as NaN.
     """
     if engine is Engine.STRUCTURED:
         grids = _aggregates(
             p_base.n_qubits, p_base.gamma, r, thetas, etas, convention,
-            fidelity="fidelity" in fields, qfi="qfi" in fields,
+            probability="probability" in fields, fidelity="fidelity" in fields,
+            qfi="qfi" in fields,
         )
         return {
             name: np.ascontiguousarray(grid.real)

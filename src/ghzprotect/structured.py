@@ -320,10 +320,13 @@ def metrics_grid(
     """Vectorized aggregates over broadcastable theta/eta arrays.
 
     Returns complex arrays (probability, fidelity, qfi) of the broadcast
-    shape from the kernel whose 0-d call is :func:`aggregate_complex`, so
-    each element equals the scalar path's value exactly.  Points where the
-    scalar path raises :class:`DegeneracyError` come back as NaN, so sweeps
-    can skip them.  The aggregates do not depend on ``phi0``.
+    shape from the kernel whose 0-d call is :func:`aggregate_complex`.
+    Each probability and fidelity equals the scalar path's value exactly.
+    The QFI does on a one-point grid; on larger grids it can differ in
+    the last bits, since the scalar path sums the classes pairwise (see
+    :func:`_class_sum`).  Points where the scalar path raises
+    :class:`DegeneracyError` come back as NaN, so sweeps can skip them.
+    The aggregates do not depend on ``phi0``.
     """
     return _aggregates(n, gamma, r, theta, eta, convention)
 
@@ -368,16 +371,19 @@ def _closed_forms(
     eta,
     convention: Convention,
     k: np.ndarray,
+    probability: bool,
     fidelity: bool,
 ):
     """(probability, fidelity, terms) over r and the full-rank theta/eta of _broadcast.
 
     The O(1) forms of :func:`_aggregates`: sum_k C(n,k) a^k b^(n-k) e^(2k-n)
     = e^n (a + b e^-2)^n, with e^n taken whole so that |e^n| <= 1 holds
-    after rounding; both are NaN where |P| < 1e-13, and the fidelity is
-    None unless ``fidelity``.  ``k`` is a class axis ending at class n, and
+    after rounding; both are NaN where |P| < 1e-13, and each is None
+    unless asked for.  ``k`` is a class axis ending at class n, and
     ``terms`` are what the QFI class sum reuses: the factors (c2, s2, u, q,
-    vr^n, w), the phases e^(2k-n) and the |P| < 1e-13 mask.
+    vr^n, w), the phases e^(2k-n) and the |P| < 1e-13 mask.  Without the
+    probability and the fidelity, P is not formed when a bound shows that
+    no point reaches the mask; the mask is then None.
     """
     c2, s2 = math.cos(gamma / 2.0) ** 2, math.sin(gamma / 2.0) ** 2
     half = theta / 2.0
@@ -393,10 +399,13 @@ def _closed_forms(
         e_back = phase[0]
     e_n = phase[-1]
 
-    q_back = q * e_back
-    p_total = (c2 + s2) * e_n * _int_power(u + vr + q_back, n)
-    degenerate = np.abs(p_total) < _DEGENERACY_TOL
-    fid = None
+    u_vr, q_back = u + vr, q * e_back
+    p_total = degenerate = fid = None
+    if probability or fidelity or not _weight_clears_cutoff(
+        c2 + s2, u_vr, q, e_back, n
+    ):
+        p_total = (c2 + s2) * e_n * _int_power(u_vr + q_back, n)
+        degenerate = np.abs(p_total) < _DEGENERACY_TOL
     if fidelity:
         if convention is Convention.PAPER:
             coherence_n = (2.0 * w) ** n  # the corner phases cancel in C + D
@@ -405,12 +414,33 @@ def _closed_forms(
         fid_num = (c2 * c2 + s2 * s2) * e_n * _int_power(u + q_back, n)
         fid_num += 2.0 * c2 * s2 * (vr_n * e_n + coherence_n)
         fid = np.where(degenerate, np.nan, fid_num / p_total)
-    p_total = np.where(degenerate, np.nan, p_total)
+    p_total = np.where(degenerate, np.nan, p_total) if probability else None
     return p_total, fid, (c2, s2, u, q, vr_n, w, phase, degenerate)
 
 
+def _weight_clears_cutoff(scale: float, u_vr, q, e_back, n: int) -> bool:
+    """Whether a bound shows |P| >= 1e-13 at every point, so no P mask is needed.
+
+    P = scale e^n (u + vr + q e^-2)^n, and the computed real part of the
+    base is at least ``low`` = u + vr + q min Re e^-2, since rounding is
+    monotone; |z| >= Re z.  The repeated squaring rounds |z|^n by at most
+    about 3n 2^-53 relative, which the factor 2 on the cutoff covers.  A
+    NaN fails the test.
+    """
+    low = np.min(u_vr + q * np.min(e_back.real))
+    return bool(low > 0.0 and scale * low**n >= 2.0 * _DEGENERACY_TOL)
+
+
 def _class_sum(n: int, k: np.ndarray, shape: tuple[int, ...], terms) -> np.ndarray:
-    """The QFI of :func:`_aggregates`: its class sum over the full class axis ``k``."""
+    """The QFI of :func:`_aggregates`: its class sum over the full class axis ``k``.
+
+    Classes add in order of k, whatever the block size, so a grid of two
+    points or more has, row by row, the bits of its rows evaluated alone.
+    A one-point grid sums its class axis pairwise, as numpy does along a
+    contiguous axis, so its last bits can differ.  With one class
+    a block, a class whose |A_k + B_k| a bound puts above both cutoffs
+    skips them (:func:`_clear_classes`).
+    """
     c2, s2, u, q, vr_n, w, phase, degenerate = terms
     c_abs = math.sqrt(c2 * s2) * w**n  # |C|, the same for every class
     c_sq = c_abs * c_abs
@@ -425,26 +455,52 @@ def _class_sum(n: int, k: np.ndarray, shape: tuple[int, ...], terms) -> np.ndarr
     drop_below = np.clip(c_abs, _UNDERFLOW_TOL, _DEGENERACY_TOL)
     pole_below = np.minimum(_DEGENERACY_TOL, 2.0 * c_sq)
 
-    qfi = 0.0
     block = max(1, _BLOCK_ELEMENTS // max(1, math.prod(shape)))
+    clear = _clear_classes(plus, minus, phase) if block == 1 else np.zeros(n + 1, bool)
+    qfi = np.zeros(shape, dtype=np.complex128)
     denom = np.empty((min(block, n + 1),) + shape, dtype=np.complex128)
     for start in range(0, n + 1, block):
         ks = slice(start, min(start + block, n + 1))
         d = denom[: ks.stop - start]
         np.multiply(plus[ks], phase[ks].real, out=d.real)
         np.multiply(minus[ks], phase[ks].imag, out=d.imag)
-        size = np.abs(d)
-        d[size < drop_below] = np.inf  # a dropped class adds nothing
-        d[size < pole_below] = np.nan
+        if not clear[start]:
+            size = np.abs(d)
+            d[size < drop_below] = np.inf  # a dropped class adds nothing
+            d[size < pole_below] = np.nan
         np.divide(weight[ks], d, out=d)
-        if block == 1 and start:
-            # One class a block: the same bits as below, since the sum is
-            # never -0 after the first block, without two grid temporaries.
-            qfi += d[0]
+        if block == 1:
+            qfi += d[0]  # in place, without two grid temporaries
         else:
-            qfi = qfi + d.sum(axis=0)
-    qfi[degenerate] = np.nan
+            d[0] += qfi  # the running sum heads the block, so classes add in order
+            qfi = d.sum(axis=0)
+    if degenerate is not None:
+        qfi[degenerate] = np.nan
     return qfi
+
+
+def _clear_classes(
+    plus: np.ndarray, minus: np.ndarray, phase: np.ndarray
+) -> np.ndarray:
+    """Per class, whether every point has |A_k + B_k| >= 2e-13, above both cutoffs.
+
+    A_k + B_k = plus cos + i minus sin, and the computed modulus is at
+    least max(|Re|, |Im|); each rounded product is at least the exact one
+    times 1 - 2^-53, and max(|cos|, |sin|) >= 1/sqrt(2) > 0.7.  So the
+    class minima of |plus|, |minus|, |cos| and |sin| bound |A_k + B_k| from
+    below at O(T + E) cost per class.  A NaN bound clears nothing.
+    """
+    axes = tuple(range(1, plus.ndim))
+    plus_min, minus_min = np.abs(plus).min(axes), np.abs(minus).min(axes)
+    floor = np.max(
+        [
+            plus_min * np.abs(phase.real).min(axes),
+            minus_min * np.abs(phase.imag).min(axes),
+            np.minimum(plus_min, minus_min) * 0.7,
+        ],
+        axis=0,
+    )
+    return floor * (1.0 - 1e-12) >= 2.0 * _DEGENERACY_TOL
 
 
 def _aggregates(
@@ -456,7 +512,8 @@ def _aggregates(
     convention: Convention,
     fidelity: bool = True,
     qfi: bool = True,
-) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    probability: bool = True,
+) -> tuple[Optional[np.ndarray], ...]:
     """Complex (probability, fidelity, qfi) over broadcast r/theta/eta, NaN if undefined.
 
     With u = cos^2(theta/2), q = sin^2(theta/2) (1-r) and e = e^{i eta} (paper)
@@ -469,13 +526,14 @@ def _aggregates(
     |C|^2 > |A+B| / 2, and is dropped if it has underflowed (|A+B| < 1e-14)
     or its populations have cancelled (|A+B| < |C|).
 
-    ``fidelity`` and ``qfi`` select the fields to compute; each skipped
-    field comes back as None, and each computed one has the same bits as
-    when all are computed.  The probability is always computed, since its
-    |P| < 1e-13 mask marks the undefined points of the others.  Without
-    the class sum the phases cover class n alone.  :func:`metrics_grid`
-    and :func:`aggregate_complex` ask for every field; the optimizer asks
-    only for the fields its search reads.
+    ``probability``, ``fidelity`` and ``qfi`` select the fields to
+    compute; each skipped field comes back as None, and each computed one
+    has the same bits as when all are computed.  P is formed for the
+    others too, since its |P| < 1e-13 mask marks their undefined points;
+    for the QFI alone it is skipped where a bound shows that no point
+    reaches the mask.  Without the class sum the phases cover class n
+    alone.  :func:`metrics_grid` and :func:`aggregate_complex` ask for
+    every field; the optimizer asks only for the fields its search reads.
     """
     (r, theta, eta), out_shape = _broadcast(r, theta, eta)
     shape = out_shape or (1,)
@@ -484,7 +542,7 @@ def _aggregates(
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_total, fid, terms = _closed_forms(
-            n, gamma, r, theta, eta, convention, k, fidelity
+            n, gamma, r, theta, eta, convention, k, probability, fidelity
         )
         info = _class_sum(n, k, shape, terms) if qfi else None
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ghzprotect import optimize
+from ghzprotect import optimize, structured
 from ghzprotect.dense import aggregate_metrics_dense, do_nothing_baseline
 from ghzprotect.optimize import (
     UNIT_PROBABILITY,
@@ -498,9 +498,9 @@ class TestGridEvaluation:
         asked = []
         real = optimize._aggregates
 
-        def recording(*args, fidelity=True, qfi=True):
+        def recording(*args, fidelity=True, qfi=True, probability=True):
             asked.append((fidelity, qfi))
-            return real(*args, fidelity=fidelity, qfi=qfi)
+            return real(*args, fidelity=fidelity, qfi=qfi, probability=probability)
 
         monkeypatch.setattr(optimize, "_aggregates", recording)
         return asked
@@ -531,7 +531,10 @@ class TestGridEvaluation:
             assert asked and set(asked) == {wanted[name]}, name
 
     def test_a_level_without_candidates_on_its_first_grid_raises(self, monkeypatch):
-        def undefined(n, gamma, r, theta, eta, convention, fidelity=True, qfi=True):
+        def undefined(
+            n, gamma, r, theta, eta, convention, fidelity=True, qfi=True,
+            probability=True,
+        ):
             grid = np.full(np.broadcast(r, theta, eta).shape, complex(math.nan))
             return grid, grid if fidelity else None, grid if qfi else None
 
@@ -583,6 +586,26 @@ class TestGridEvaluation:
         for a, b in zip(pinned, full):
             for field in dataclasses.fields(OptResult):
                 assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+    def test_the_information_search_forms_the_weight_only_where_a_bound_fails(
+        self, monkeypatch
+    ):
+        # The QFI search reads P only through its |P| < 1e-13 mask.  The
+        # first grid reaches theta = pi with Re e^(-2i eta) = -1, where no
+        # bound clears that mask, so it forms P (one power); the six
+        # refined windows clear it and skip P.  The companion's scalar call
+        # forms P and F (two powers).  Forming P on every grid took nine.
+        expected = maximize_metric(Objective.QFI, 0.4, GHZ10)
+        powers = []
+        real = structured._int_power
+
+        def counting(z, n):
+            powers.append(np.shape(z))
+            return real(z, n)
+
+        monkeypatch.setattr(structured, "_int_power", counting)
+        assert maximize_metric(Objective.QFI, 0.4, GHZ10) == expected
+        assert powers == [(1, 181, 181), (1,), (1,)]
 
     def test_pointwise_engines_keep_the_full_rotation_axis(self):
         grid = GridSpec(

@@ -5,6 +5,7 @@ checked against literal dense evolution on small registers, and frozen
 spot values pin the formulas themselves.
 """
 
+import itertools
 import math
 import time
 import warnings
@@ -403,51 +404,143 @@ def test_probability_fidelity_over_an_r_axis_is_the_grid_at_each_r(
 #: Grid sizes of the field property: the scalar path's single point, one
 #: block of all classes, and one class a block (above 2^14 points).
 _GRID_SIZES = [(1, 1), (2, 4), (129, 130)]
+#: The (theta, eta) ranges of a first search grid.
+_FULL_RANGES = ((0.0, math.pi), (0.0, 2 * math.pi))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 200),
     gamma=st.floats(0.01, math.pi - 0.01),
-    r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+    r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.4, 1.0])),
     size=st.sampled_from(_GRID_SIZES),
+    # The full ranges reach the cutoffs.  The windows inside them avoid
+    # theta = 0 and pi, and the narrow one also Re e^(-2i eta) < 0, like a
+    # refined search window: there the kernel skips the probability's mask
+    # and the |A+B| masks of classes a bound clears.
+    windows=st.sampled_from(
+        [
+            _FULL_RANGES,
+            ((0.3, 2.8), (0.0, 2 * math.pi)),
+            ((1.2, 1.5), (0.1, 0.3)),
+        ]
+    ),
     conv=st.sampled_from(list(Convention)),
 )
-def test_each_computed_field_has_the_bits_of_the_full_grid(n, gamma, r, size, conv):
+def test_each_computed_field_has_the_bits_of_the_full_grid(
+    n, gamma, r, size, windows, conv
+):
     # Whatever fields a caller asks for, each one computed is metrics_grid's
     # field bit for bit, NaN included, and each one skipped is None.
-    thetas = np.linspace(0.0, math.pi, size[0])[:, None]
-    etas = np.linspace(0.0, 2 * math.pi, size[1])[None, :]
+    theta_window, eta_window = windows
+    thetas = np.linspace(*theta_window, size[0])[:, None]
+    etas = np.linspace(*eta_window, size[1])[None, :]
     assert size[0] * size[1] in (1, 8) or size[0] * size[1] > 1 << 14
     full = metrics_grid(n, gamma, 0.0, r, thetas, etas, conv)
-    for fidelity in (False, True):
-        for qfi in (False, True):
-            part = _aggregates(
-                n, gamma, r, thetas, etas, conv, fidelity=fidelity, qfi=qfi
-            )
-            wanted = (True, fidelity, qfi)
-            for want, got, expected in zip(wanted, part, full):
-                if want:
-                    assert _same_bits(got, expected)
-                else:
-                    assert got is None
+    for probability, fidelity, qfi in itertools.product((False, True), repeat=3):
+        part = _aggregates(
+            n, gamma, r, thetas, etas, conv,
+            probability=probability, fidelity=fidelity, qfi=qfi,
+        )
+        for want, got, expected in zip((probability, fidelity, qfi), part, full):
+            if want:
+                assert _same_bits(got, expected)
+            else:
+                assert got is None
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+#: (grid size, least N, windows) of the block property: one class a block
+#: over the full ranges and over a narrow window, and 32 classes a block.
+_BLOCK_CASES = [
+    ((129, 130), 1, _FULL_RANGES),
+    ((129, 130), 1, ((1.2, 1.5), (0.1, 0.3))),
+    ((25, 40), 32, _FULL_RANGES),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    n=st.integers(1, 200),
+    case=st.sampled_from(_BLOCK_CASES),
+    data=st.data(),
     gamma=st.floats(0.01, math.pi - 0.01),
     r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
     conv=st.sampled_from(list(Convention)),
 )
-def test_a_class_per_block_sums_as_all_classes_in_one_block(n, gamma, r, conv):
-    # Above 2^14 points the class sum takes one class a block, in place;
-    # a row of 130 points takes all classes in one block.  Both add the
-    # classes in the same order, so the whole grid has, row by row, the
-    # bits of the rows evaluated one at a time.
-    thetas = np.linspace(0.0, math.pi, 129)[:, None]
-    etas = np.linspace(0.0, 2 * math.pi, 130)[None, :]
+def test_a_class_per_block_sums_as_all_classes_in_one_block(case, data, gamma, r, conv):
+    # Above 2^14 points the class sum takes one class a block, in place,
+    # and skips the |A+B| masks of the classes a bound clears (in the
+    # narrow window, at small N); a 25x40 grid takes 32 classes a block; a
+    # row of 130 or 40 points takes all classes in one block and screens
+    # none.
+    # All add the classes in the same order, so the whole grid has, row by
+    # row, the bits of the rows evaluated one at a time.
+    size, n_min, (theta_window, eta_window) = case
+    n = data.draw(st.integers(n_min, 200), label="n")
+    thetas = np.linspace(*theta_window, size[0])[:, None]
+    etas = np.linspace(*eta_window, size[1])[None, :]
     whole = metrics_grid(n, gamma, 0.0, r, thetas, etas, conv)[2]
     for i in range(thetas.shape[0]):
         row = metrics_grid(n, gamma, 0.0, r, thetas[i : i + 1], etas, conv)[2]
         assert _same_bits(whole[i : i + 1], row)
+
+
+def _class_term_sum(p: ProtocolParams, conv: Convention) -> float:
+    """Sum over k of |C(n,k) 4 n^2 |C|^2 / (A_k + B_k)|, zero populations left out."""
+    n, total = p.n_qubits, 0.0
+    for k in range(n + 1):
+        elements = branch_elements(p, k, conv, max_qubits=n)
+        size = abs(elements.A + elements.B)
+        if size > 0.0:
+            total += math.comb(n, k) * 4.0 * n * n * abs(elements.C) ** 2 / size
+    return total
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 64),
+    gamma=st.floats(0.01, math.pi - 0.01),
+    r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.4, 1.0])),
+    thetas=st.lists(_ANGLE, min_size=2, max_size=4),
+    etas=st.lists(_ROTATION, min_size=1, max_size=4),
+    conv=st.sampled_from(list(Convention)),
+)
+def test_scalar_path_matches_a_multi_point_grid(n, gamma, r, thetas, etas, conv):
+    # The scalar path's probability and fidelity are the grid's bit for
+    # bit, and it raises exactly where the grid holds NaN.  Its QFI may
+    # differ in the last bits: a one-point grid sums the class axis
+    # pairwise, a larger grid in order of k.  Either sum is within
+    # (n+1) 2^-53 times the sum of the terms' moduli of the exact one, per
+    # component, so the two are within twice that.
+    prob, fid, qfi = metrics_grid(
+        n, gamma, 0.0, r, np.array(thetas)[:, None], np.array(etas)[None, :], conv
+    )
+    for i, j in np.ndindex(prob.shape):
+        p = ProtocolParams(
+            n_qubits=n, gamma=gamma, phi0=0.0, theta=thetas[i], eta=etas[j], r=r,
+            extended_theta=True,
+        )
+        undefined = np.isnan(prob[i, j]) or np.isnan(qfi[i, j])
+        try:
+            total, fidelity, information = aggregate_complex(p, conv)
+        except DegeneracyError:
+            assert undefined
+            continue
+        assert not undefined
+        scalar = np.array([total, fidelity]).tobytes()
+        assert scalar == np.array([prob[i, j], fid[i, j]]).tobytes()
+        gap = information - complex(qfi[i, j])
+        if gap:
+            bound = 2.0 * (n + 1) * 2.0**-53 * _class_term_sum(p, conv)
+            assert abs(gap.real) <= bound and abs(gap.imag) <= bound
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    re=st.floats(allow_nan=False, allow_infinity=False),
+    im=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_complex_modulus_is_at_least_each_part(re, im):
+    # The class screen bounds |A+B| from below through its parts.
+    z = np.array([complex(re, im)])
+    with np.errstate(over="ignore"):
+        assert np.abs(z)[0] >= max(abs(re), abs(im))
