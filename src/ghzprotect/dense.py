@@ -1,10 +1,15 @@
 """Dense (full density-matrix) reference implementation of the protocol.
 
-This is the trusted arbiter: every step is applied literally as matrix
-algebra on the full 2^N-dimensional state, with no per-class or closed-form
-shortcuts.  The only sharing is that records with a common prefix share its
-evolution: :func:`run_all_branches` evolves each prefix once, with the same
-matrix products in the same order, so every branch state has the bits of a
+This is the trusted arbiter: every record is evolved step by step on the
+full 2^N-dimensional density matrix, with no per-class or closed-form
+shortcuts.  A Kraus step K rho K^dag is computed entry by entry instead of
+through the 2^N x 2^N embedded matrix K = I (x) op (x) I: every site
+operator of the protocol has at most one nonzero per row, so each entry of
+the result is a single product, and the terms a matrix product would add
+to it are exact zeros.  The states have the bits of the literal matrix
+products (see :func:`_step`).  Records with a common prefix share its
+evolution: :func:`run_all_branches` evolves each prefix once, with the
+same operations in the same order, so every branch state has the bits of a
 record evolved on its own.  It is exponentially expensive and capped at
 small registers; the scalable per-class engine is validated against it.
 """
@@ -92,11 +97,28 @@ def ghz_state(n: int, gamma: float, phi0: float) -> DenseState:
     return DenseState(n_qubits=n, rho=np.outer(psi, psi.conj()))
 
 
-def _lift(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Embed a single-qubit operator at `site` into the N-qubit space."""
-    left = np.eye(2**site, dtype=np.complex128)
-    right = np.eye(2 ** (n - site - 1), dtype=np.complex128)
-    return np.kron(np.kron(left, op), right)
+def _lift(op: np.ndarray, site: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Embed a single-qubit operator at `site` of an N-qubit register.
+
+    Returns the embedded operator K = I (x) op (x) I as one entry per row,
+    without forming the 2^N x 2^N matrix: row i of K holds ``coef[i]`` in
+    column ``src[i]`` and zeros elsewhere (``coef[i]`` is 0 for a zero
+    row).  A diagonal `op` gives ``src[i] = i``; an `op` with its one entry
+    at (a, b) maps the rows whose site bit is a to the columns whose site
+    bit is b.  Raises ValueError, naming the site, for an operator with two
+    nonzero entries in a row, which this form cannot hold.
+    """
+    nonzero = op != 0
+    if nonzero.sum(axis=1).max() > 1:
+        raise ValueError(
+            f"operator at site {site} has two nonzero entries in a row, "
+            f"got {op.tolist()}"
+        )
+    col = nonzero.argmax(axis=1)  # column of each row's entry; 0 if none
+    index = np.arange(2**n).reshape(2**site, 2, 2 ** (n - site - 1))
+    src = index[:, col, :].ravel()
+    coef = np.broadcast_to(op[(0, 1), col][:, None], index.shape).ravel()
+    return src, coef
 
 
 def _pattern_bits(pattern: str, n: int) -> list[int]:
@@ -109,24 +131,48 @@ def _pattern_bits(pattern: str, n: int) -> list[int]:
 
 def _site_kraus(
     p: ProtocolParams, site: int, o: int, damping: tuple[np.ndarray, np.ndarray]
-) -> list[np.ndarray]:
-    """The two lifted Kraus operators F_o E F_o M_o of qubit `site` on record bit o."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The two embedded Kraus operators F_o E F_o M_o of `site` on record bit o."""
     m = weak_meas_op(o, p.theta)
     f = flip_op(o)
     return [_lift(f @ e @ f @ m, site, p.n_qubits) for e in damping]
 
 
 def _step(
-    rho: np.ndarray, rot: np.ndarray, kraus: list[np.ndarray], rotation: np.ndarray
+    rho: np.ndarray,
+    rot: np.ndarray,
+    kraus: list[tuple[np.ndarray, np.ndarray]],
+    rotation: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One record bit: its site's Kraus sum on rho, its rotation appended to rot."""
-    return sum(k @ rho @ k.conj().T for k in kraus), np.kron(rot, rotation)
+    """One record bit: its site's Kraus sum on rho, its rotation appended to rot.
+
+    With one nonzero per row of K, entry (i, j) of K rho K^dag is the single
+    product ``(coef[i] * rho[src[i], src[j]]) * conj(coef[j])``, rounded in
+    the order ``(K @ rho) @ K^dag`` rounds it.  The terms that product would
+    add are exact zeros, and the protocol's coefficients are real, so each
+    entry has the bits of the matrix product.  A -0 left by a zero
+    coefficient becomes +0 in the sum, which starts from 0.  ``rot`` is the
+    diagonal of the rotation chain, extended with the products ``np.kron``
+    forms.
+    """
+    rho = sum(
+        (coef[:, None] * rho.take(src, 0).take(src, 1)) * coef.conj()
+        for src, coef in kraus
+    )
+    return rho, np.multiply.outer(rot, rotation).ravel()
 
 
 def _branch(
     pattern: str, rho: np.ndarray, rot: np.ndarray, convention: Convention
 ) -> BranchRun:
-    """Close a record: apply the collected rotation; the trace is its weight."""
+    """Close a record: apply the collected rotation; the trace is its weight.
+
+    The rotation's entries are complex, and an elementwise complex product
+    can round differently from a BLAS matrix product (by up to 1e-15 on
+    unit-scale 64 x 64 states), so the rotation is applied as matrix
+    products.
+    """
+    rot = np.diag(rot)
     if convention is Convention.PHYSICAL:
         rho = rot @ rho @ rot.conj().T
     else:
@@ -155,11 +201,11 @@ def run_protocol_branch(
     bits = _pattern_bits(pattern, n)
 
     rho = ghz_state(n, p.gamma, p.phi0).rho
-    rot = np.eye(1, dtype=np.complex128)
+    rot = np.ones(1, dtype=np.complex128)
     damping = adc_kraus(p.r)
     for site, o in enumerate(bits):
         kraus = _site_kraus(p, site, o, damping)
-        rho, rot = _step(rho, rot, kraus, rotation_op(o, p.eta))
+        rho, rot = _step(rho, rot, kraus, np.diag(rotation_op(o, p.eta)))
     return _branch(pattern, rho, rot, convention)
 
 
@@ -169,20 +215,22 @@ def run_all_branches(
     """All 2^N record branches, ordered by the pattern's binary value.
 
     Walks the tree of record prefixes depth first and takes each prefix's
-    step once: 2^(N+1) - 2 steps instead of N 2^N, and 4N lifted Kraus
-    operators instead of N 2^(N+1).  Each branch goes through the products
-    :func:`run_protocol_branch` takes for its pattern, so the two agree
-    bit for bit.  The walk keeps an explicit stack, which holds at most one
-    pending sibling per level.
+    step once: 2^(N+1) - 2 steps instead of N 2^N, and 4N embedded Kraus
+    operators instead of N 2^(N+1).  A step touches each entry of the
+    state once per Kraus operator, and each leaf applies its rotation as
+    two 2^N x 2^N matrix products.  Each branch goes through the
+    operations :func:`run_protocol_branch` takes for its pattern, so the
+    two agree bit for bit.  The walk keeps an explicit stack, which holds
+    at most one pending sibling per level.
     """
     validate_params(p, max_qubits=DENSE_MAX_QUBITS)
     n = p.n_qubits
     damping = adc_kraus(p.r)
     kraus = [[_site_kraus(p, site, o, damping) for o in (0, 1)] for site in range(n)]
-    rotation = [rotation_op(o, p.eta) for o in (0, 1)]
+    rotation = [np.diag(rotation_op(o, p.eta)) for o in (0, 1)]
 
     branches = []
-    stack = [("", ghz_state(n, p.gamma, p.phi0).rho, np.eye(1, dtype=np.complex128))]
+    stack = [("", ghz_state(n, p.gamma, p.phi0).rho, np.ones(1, dtype=np.complex128))]
     while stack:
         prefix, rho, rot = stack.pop()
         site = len(prefix)
@@ -263,13 +311,9 @@ def qfi_general(
 
     vals, vecs = np.linalg.eigh(rho)
     d_in_eig = vecs.conj().T @ drho @ vecs
-    fisher = 0.0
-    for i in range(len(vals)):
-        for j in range(len(vals)):
-            denom = vals[i] + vals[j]
-            if denom > 1e-10:
-                fisher += 2.0 * abs(d_in_eig[i, j]) ** 2 / denom
-    return float(fisher)
+    denom = vals[:, None] + vals[None, :]
+    kept = denom > 1e-10
+    return float(np.sum(2.0 * np.abs(d_in_eig[kept]) ** 2 / denom[kept]))
 
 
 def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:

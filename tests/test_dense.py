@@ -6,12 +6,13 @@ symmetry, rotation-angle independence) are exercised over seeded random
 parameter draws.
 """
 
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzprotect import dense
@@ -244,8 +245,26 @@ def assert_same_branch(got, want):
     assert got.state.rho.tobytes() == want.state.rho.tobytes()
 
 
+def signed_zero_examples(test):
+    """Add the points where Kraus entries are exactly 0 as explicit examples.
+
+    At theta in {0, pi} a measurement entry vanishes and at r in {0, 1} a
+    damping entry does, so an elementwise product could leave a -0 where
+    the matrix product writes +0.
+    """
+    for n, theta, r, convention in itertools.product(
+        (1, DENSE_MAX_QUBITS), (0.0, math.pi), (0.0, 1.0), Convention
+    ):
+        test = example(
+            n=n, gamma=1.1, phi0=0.7, theta=theta, eta=0.0, r=r,
+            convention=convention, record=2**n - 1,
+        )(test)
+    return test
+
+
 class TestPrefixTree:
     @settings(max_examples=30, deadline=None, derandomize=True)
+    @signed_zero_examples
     @given(
         n=st.integers(1, DENSE_MAX_QUBITS),
         gamma=st.floats(0.01, math.pi - 0.01),
@@ -305,6 +324,63 @@ class TestPrefixTree:
         assert len(lifts) == 2 * n
 
 
+class TestLift:
+    @pytest.mark.parametrize(
+        "op",
+        [
+            [[0.6, 0.0], [0.0, 0.8]],
+            [[0.0, 0.0], [0.0, 0.8]],
+            [[0.0, 0.5], [0.0, 0.0]],
+            [[0.0, 0.0], [0.5, 0.0]],
+            [[0.0, 0.3], [0.4, 0.0]],
+            [[0.0, 0.3], [0.0, 0.4]],
+            [[0.0, 0.0], [0.0, 0.0]],
+        ],
+    )
+    @pytest.mark.parametrize("site", [0, 1, 2])
+    def test_the_entries_are_the_kronecker_embedding(self, op, site):
+        op = np.array(op, dtype=np.complex128)
+        n = 3
+        left = np.eye(2**site, dtype=np.complex128)
+        right = np.eye(2 ** (n - site - 1), dtype=np.complex128)
+        src, coef = dense._lift(op, site, n)
+        got = np.zeros((2**n, 2**n), dtype=np.complex128)
+        got[np.arange(2**n), src] = coef  # row i holds coef[i] in column src[i]
+        assert np.array_equal(got, np.kron(np.kron(left, op), right))
+
+    @pytest.mark.parametrize(
+        "op", [[[0.6, 0.1], [0.0, 0.8]], [[0.6, 0.0], [0.1, 0.8]]]
+    )
+    def test_two_entries_in_a_row_raise_naming_the_site(self, op):
+        op = np.array(op, dtype=np.complex128)
+        with pytest.raises(ValueError, match="site 2"):
+            dense._lift(op, 2, 4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        theta=st.one_of(
+            st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi / 2, math.pi])
+        ),
+        r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+        o=st.sampled_from((0, 1)),
+    )
+    def test_site_operators_are_diagonal_or_one_entry(self, theta, r, o):
+        ops = []
+
+        def recording_lift(op, site, n_qubits):
+            ops.append(op)
+            return original(op, site, n_qubits)
+
+        original = dense._lift
+        p = make_params(n_qubits=2, theta=theta, r=r, extended_theta=True)
+        with mock.patch.object(dense, "_lift", recording_lift):
+            dense._site_kraus(p, 1, o, adc_kraus(r))
+        assert len(ops) == 2
+        for op in ops:
+            diagonal = op[0, 1] == 0 and op[1, 0] == 0
+            assert diagonal or np.count_nonzero(op) <= 1, op
+
+
 class TestRunProtocolAverage:
     def test_normalized_output_physical(self):
         p = make_params(n_qubits=3, eta=2.2)
@@ -320,7 +396,44 @@ class TestRunProtocolAverage:
             run_protocol_average(p, Convention.PAPER)
 
 
+def qfi_loop(state_at, phi0, step=1e-5):
+    """qfi_general as an explicit double loop over eigenpairs (the reference)."""
+    rho = np.asarray(state_at(phi0), dtype=np.complex128)
+    rho = (rho + rho.conj().T) / 2.0
+    drho = (
+        np.asarray(state_at(phi0 + step), dtype=np.complex128)
+        - np.asarray(state_at(phi0 - step), dtype=np.complex128)
+    ) / (2.0 * step)
+    vals, vecs = np.linalg.eigh(rho)
+    d_in_eig = vecs.conj().T @ drho @ vecs
+    fisher = 0.0
+    for i in range(len(vals)):
+        for j in range(len(vals)):
+            denom = vals[i] + vals[j]
+            if denom > 1e-10:
+                fisher += 2.0 * abs(d_in_eig[i, j]) ** 2 / denom
+    return fisher
+
+
+def qfi_test_states():
+    states = [ghz_state(n, math.pi / 2, 0.3).rho for n in (1, 2, 3)]
+    states.append(ghz_state(2, math.pi / 3, 0.0).rho)
+    states.append(np.diag([0.3, 0.2, 0.1, 0.4]).astype(np.complex128))
+    p = make_params(n_qubits=3, gamma=1.1, phi0=0.4, r=0.3)
+    for b in run_all_branches(p, Convention.PHYSICAL):
+        states.append(b.state.rho / b.probability.real)
+    return states
+
+
 class TestQfiGeneral:
+    @pytest.mark.parametrize("rho", qfi_test_states())
+    def test_matches_the_eigenpair_loop(self, rho):
+        def family(d):
+            return phase_imprint(rho, d)
+
+        want = qfi_loop(family, 0.0)
+        assert abs(qfi_general(family, 0.0) - want) <= 1e-12 * want
+
     def test_pure_balanced_state_rate_n(self):
         # Collective-phase information of a pure balanced superposition is
         # exactly N^2.
