@@ -2,12 +2,12 @@
 
 Two evaluation modes exist on purpose.  ``VERBATIM`` computes the compact
 printed expressions for the total probability, fidelity, and Fisher
-information.  ``APPENDIX_AGGREGATED`` takes the structured engine's
-aggregates in the two-sided-multiplication convention: binomial-collapsed
-probability and fidelity, and the per-class sum for the information.  The
-two agree everywhere except for a known inconsistency in the Fisher
-aggregate's k=0 and k=N denominators, which is surfaced as a measurable
-gap rather than papered over.
+information.  ``APPENDIX_AGGREGATED`` is the reference they are checked
+against: the structured engine's paper-convention aggregates, with
+binomial-collapsed probability and fidelity and the per-class sum for the
+information.  The two agree everywhere except for a known inconsistency in
+the Fisher aggregate's k=0 and k=N denominators, which is surfaced as a
+measurable gap rather than papered over.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ghzprotect.params import (
     ProtocolParams,
     validate_params,
 )
-from ghzprotect.structured import aggregate_complex
+from ghzprotect.structured import aggregate_complex, aggregate_metrics
 
 _DEGENERACY_TOL = 1e-14
 
@@ -48,16 +48,6 @@ def pow_int(z: complex, n: int) -> complex:
         base *= base
         n >>= 1
     return result
-
-
-def realize(z: complex, tol: float | None = None) -> tuple[float, float]:
-    """Split a complex aggregate into (real part, |imaginary part|).
-
-    The residual is returned, not enforced: the caller compares it against
-    whatever tolerance its context demands (``tol`` is accepted so call
-    sites can carry that tolerance alongside, but no check happens here).
-    """
-    return float(z.real), abs(float(z.imag))
 
 
 def class_probability(p: ProtocolParams, k: int) -> complex:
@@ -246,17 +236,15 @@ def metrics_closedform(
 
     The printed aggregates carry the two-sided rotation phases, so rows
     are tagged with the paper convention; use the structured engine for
-    physical-convention rows.
+    physical-convention rows.  APPENDIX_AGGREGATED rows are the structured
+    engine's paper-convention rows and carry its tag.
     """
+    if variant is FormulaVariant.APPENDIX_AGGREGATED:
+        return aggregate_metrics(p, Convention.PAPER)
     prob = prob_total(p, variant)
     fid = fid_total(p, variant)
     qfi = qfi_total(p, variant)
     residual = max(abs(prob.imag), abs(fid.imag), abs(qfi.imag))
-    engine = (
-        Engine.CLOSEDFORM_VERBATIM
-        if variant is FormulaVariant.VERBATIM
-        else Engine.CLOSEDFORM_APPENDIX
-    )
     return MetricsRow(
         r=p.r,
         theta=p.theta,
@@ -266,5 +254,5 @@ def metrics_closedform(
         qfi=qfi.real,
         imag_residual=residual,
         convention=Convention.PAPER,
-        engine=engine,
+        engine=Engine.CLOSEDFORM_VERBATIM,
     )

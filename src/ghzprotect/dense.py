@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -438,5 +438,5 @@ def do_nothing_baseline(p: ProtocolParams) -> MetricsRow:
         qfi=float(qfi),
         imag_residual=0.0,
         convention=Convention.PHYSICAL,
-        engine=Engine.CLOSEDFORM_APPENDIX,
+        engine=Engine.CLOSEDFORM_VERBATIM,
     )

@@ -29,7 +29,6 @@ from .params import (
     Convention,
     DegeneracyError,
     Engine,
-    FormulaVariant,
     MetricsRow,
     ProtocolParams,
 )
@@ -167,11 +166,10 @@ def _check_r(r: float) -> float:
 
 
 def _check_engine_convention(engine: Engine, convention: Convention) -> None:
-    closed = (Engine.CLOSEDFORM_APPENDIX, Engine.CLOSEDFORM_VERBATIM)
-    if engine in closed and convention is not Convention.PAPER:
+    if engine is Engine.CLOSEDFORM_VERBATIM and convention is not Convention.PAPER:
         raise ValueError(
-            "closed-form engines evaluate the two-sided rotation algebra and "
-            "only support the paper convention"
+            "the closed-form engine evaluates the two-sided rotation algebra "
+            "and only supports the paper convention"
         )
 
 
@@ -184,9 +182,7 @@ def _point_row(
     if engine is Engine.DENSE:
         return aggregate_metrics_dense(p, convention)
     if engine is Engine.CLOSEDFORM_VERBATIM:
-        return metrics_closedform(p, FormulaVariant.VERBATIM)
-    if engine is Engine.CLOSEDFORM_APPENDIX:
-        return metrics_closedform(p, FormulaVariant.APPENDIX_AGGREGATED)
+        return metrics_closedform(p)
     raise ValueError(f"unsupported engine: {engine!r}")
 
 

@@ -37,11 +37,13 @@ class Convention(str, enum.Enum):
 
 
 class Engine(str, enum.Enum):
-    """Which evaluation path produced a metrics row."""
+    """Which evaluation path produced a metrics row.
+
+    The paper's appendix aggregates are STRUCTURED rows.
+    """
 
     DENSE = "dense"
     STRUCTURED = "structured"
-    CLOSEDFORM_APPENDIX = "closedform_appendix"
     CLOSEDFORM_VERBATIM = "closedform_verbatim"
 
 
@@ -49,9 +51,9 @@ class FormulaVariant(str, enum.Enum):
     """Closed-form evaluation mode.
 
     VERBATIM evaluates the aggregate formulas exactly as printed;
-    APPENDIX_AGGREGATED rebuilds the same aggregates from the per-class
-    elements (identical algebra to the structured engine).  The two differ
-    only in the known k=0 / k=N denominators of the QFI aggregate.
+    APPENDIX_AGGREGATED gives the structured engine's paper-convention
+    aggregates, the per-class sums of the appendix.  The two differ only
+    in the known k=0 / k=N denominators of the QFI aggregate.
     """
 
     VERBATIM = "verbatim"

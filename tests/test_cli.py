@@ -22,6 +22,7 @@ from ghzprotect.cli import (
     SWEEP_COLUMNS,
     main,
 )
+from ghzprotect.params import Engine
 
 PI = math.pi
 
@@ -71,9 +72,9 @@ class TestMetricsCommand:
 
     def test_engine_variants_agree_at_identity(self, capsys):
         values = {}
-        for engine in ("structured", "closedform_appendix", "closedform_verbatim"):
+        for engine in (e.value for e in Engine):
             code, out, _ = run_cli(capsys, [
-                "metrics", "--engine", engine, "--n", "10",
+                "metrics", "--engine", engine, "--n", "4",
                 "--r", "0", "--theta", repr(PI / 2), "--eta", "0",
             ])
             assert code == 0
@@ -89,11 +90,23 @@ class TestMetricsCommand:
 
     def test_closedform_rejects_physical_convention(self, capsys):
         code, _, err = run_cli(capsys, [
-            "metrics", "--engine", "closedform_appendix",
+            "metrics", "--engine", "closedform_verbatim",
             "--convention", "physical",
         ])
         assert code == 2
         assert "convention" in err
+
+    def test_removed_appendix_engine_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, [
+            "metrics", "--engine", "closedform_appendix",
+        ])
+        assert code == 2
+        assert "structured" in err
+        config = tmp_path / "old.cfg"
+        config.write_text("engine=closedform_appendix\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, ["metrics", "--config", str(config)])
+        assert code == 2
+        assert "structured" in err
 
     def test_physical_rotation_invariance(self, capsys):
         outputs = []

@@ -20,7 +20,6 @@ from ghzprotect.closedform import (
     pow_int,
     prob_total,
     qfi_total,
-    realize,
 )
 from ghzprotect.params import (
     Convention,
@@ -29,7 +28,7 @@ from ghzprotect.params import (
     FormulaVariant,
     ProtocolParams,
 )
-from ghzprotect.structured import aggregate_complex
+from ghzprotect.structured import aggregate_metrics
 
 
 def make_params(**overrides):
@@ -78,18 +77,6 @@ class TestPowInt:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="exponent"):
             pow_int(1.0 + 0j, -1)
-
-
-class TestRealize:
-    def test_values(self):
-        assert realize(1.0 + 0.0j) == (1.0, 0.0)
-        assert realize(0.5 + 0.01j) == (0.5, 0.01)
-        re, resid = realize(cmath.exp(1j * math.pi / 2))
-        assert abs(re) < 1e-15
-        np.testing.assert_allclose(resid, 1.0, atol=1e-15)
-
-    def test_negative_imag_gives_positive_residual(self):
-        assert realize(2.0 - 3.0j) == (2.0, 3.0)
 
 
 class TestProbTotal:
@@ -231,14 +218,24 @@ class TestMetricsClosedform:
         assert row.engine is Engine.CLOSEDFORM_VERBATIM
         assert row.convention is Convention.PAPER
         row = metrics_closedform(make_params(), FormulaVariant.APPENDIX_AGGREGATED)
-        assert row.engine is Engine.CLOSEDFORM_APPENDIX
+        assert row.engine is Engine.STRUCTURED
+        assert row.convention is Convention.PAPER
 
     def test_matches_structured_paper_aggregates(self):
         rng = np.random.default_rng(107)
         for _ in range(20):
-            p = random_params(rng, 6)
-            row = metrics_closedform(p, FormulaVariant.APPENDIX_AGGREGATED)
-            want_p, want_f, want_q = aggregate_complex(p, Convention.PAPER)
-            np.testing.assert_allclose(row.probability, want_p.real, atol=1e-12)
-            np.testing.assert_allclose(row.fidelity, want_f.real, atol=1e-12)
-            np.testing.assert_allclose(row.qfi, want_q.real, atol=1e-12)
+            p = random_params(rng, int(rng.integers(1, 40)))
+            assert metrics_closedform(
+                p, FormulaVariant.APPENDIX_AGGREGATED
+            ) == aggregate_metrics(p, Convention.PAPER)
+
+    def test_degenerate_points_raise_like_structured(self):
+        rng = np.random.default_rng(108)
+        for n in range(1, 9):
+            eta = float(rng.choice([math.pi / 2, 3 * math.pi / 2]))
+            p = random_params(rng, n, theta=math.pi / 2, r=0.0, eta=eta)
+            with pytest.raises(DegeneracyError) as want:
+                aggregate_metrics(p, Convention.PAPER)
+            with pytest.raises(DegeneracyError) as got:
+                metrics_closedform(p, FormulaVariant.APPENDIX_AGGREGATED)
+            assert str(got.value) == str(want.value)

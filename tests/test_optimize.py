@@ -217,21 +217,6 @@ class TestMaximizeMetric:
             aggregate_metrics(point, Convention.PAPER).fidelity - dense.value
         ) < 1e-9
 
-    def test_closedform_engine_matches_structured_search(self):
-        grid = GridSpec(
-            theta_range=(0.0, math.pi, 15),
-            eta_range=(0.0, 2.0 * math.pi, 15),
-            refine_iters=1,
-        )
-        closed = maximize_metric(
-            Objective.QFI, 0.3, ghz(6), grid, engine=Engine.CLOSEDFORM_APPENDIX
-        )
-        structured = maximize_metric(Objective.QFI, 0.3, ghz(6), grid)
-        assert closed.theta_star == structured.theta_star
-        assert closed.eta_star == structured.eta_star
-        assert abs(closed.value - structured.value) < 1e-9
-        assert closed.engine is Engine.CLOSEDFORM_APPENDIX
-
     def test_closedform_engine_requires_paper_convention(self):
         with pytest.raises(ValueError):
             maximize_metric(
@@ -409,7 +394,7 @@ class TestSweep:
             assert res.r == r
             assert res.baseline is not None
             assert res.baseline.r == r
-            assert res.baseline.engine is Engine.CLOSEDFORM_APPENDIX
+            assert res.baseline.engine is Engine.CLOSEDFORM_VERBATIM
 
     def test_unit_probability_mode(self):
         results = sweep_r(UNIT_PROBABILITY, [0.3, 0.6], GHZ10, SMALL)
