@@ -24,18 +24,18 @@ import numpy as np
 
 from ghzprotect.operators import adc_kraus, flip_op, rotation_op, weak_meas_op
 from ghzprotect.params import (
+    DEGENERACY_TOL,
     Convention,
     DegeneracyError,
     Engine,
     MetricsRow,
     ProtocolParams,
+    class_cutoffs,
     validate_params,
 )
 
 #: Qubit ceiling for full density-matrix evolution (4^N memory scaling).
 DENSE_MAX_QUBITS = 6
-
-_DEGENERACY_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def run_protocol_average(
     """
     branches = run_all_branches(p, convention)
     total = sum(b.probability for b in branches)
-    if abs(total) < _DEGENERACY_TOL:
+    if abs(total) < DEGENERACY_TOL:
         raise DegeneracyError(
             f"total branch weight {total} vanishes at "
             f"theta={p.theta}, eta={p.eta}, r={p.r}; "
@@ -352,7 +352,7 @@ def aggregate_metrics_dense(
     n = p.n_qubits
 
     p_total = sum(b.probability for b in branches)
-    if abs(p_total) < _DEGENERACY_TOL:
+    if abs(p_total) < DEGENERACY_TOL:
         raise DegeneracyError(
             f"total branch weight {p_total} vanishes at theta={p.theta}, "
             f"eta={p.eta}, r={p.r}"
@@ -365,17 +365,15 @@ def aggregate_metrics_dense(
     qfi = 0.0 + 0.0j
     for b in branches:
         a, bb, c = _corner_elements(b.state.rho)
-        if abs(c) == 0.0:
-            continue
         denom = a + bb
-        if abs(denom) >= _DEGENERACY_TOL:
-            qfi += 4.0 * abs(c) ** 2 * n**2 / denom
-        elif abs(c) ** 2 > abs(denom):
+        pole_below, drop_below = class_cutoffs(abs(c))
+        if abs(denom) < pole_below:
             raise DegeneracyError(
                 f"branch {b.pattern} has vanishing corner populations; "
                 f"its information contribution is undefined"
             )
-        # else: underflowed branch, bounded by 4 n^2 |denom|; dropped.
+        if abs(denom) >= drop_below:
+            qfi += 4.0 * abs(c) ** 2 * n**2 / denom
 
     residual = max(abs(p_total.imag), abs(fid.imag), abs(qfi.imag))
     return MetricsRow(
@@ -425,7 +423,7 @@ def do_nothing_baseline(p: ProtocolParams) -> MetricsRow:
         + b2 * pop1
         + 2.0 * a2 * b2 * (1.0 - r) ** (n / 2.0)
     )
-    if pop0 + pop1 < _DEGENERACY_TOL:
+    if pop0 + pop1 < DEGENERACY_TOL:
         raise DegeneracyError("damped state has no corner population")
     qfi = 4.0 * abs(coh) ** 2 * n**2 / (pop0 + pop1)
 

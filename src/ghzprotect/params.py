@@ -1,6 +1,7 @@
-"""Shared parameter, branch-class, and result types.
+"""Shared parameter, branch-class, and result types, and the degeneracy rule.
 
-Pure data containers with validation; no physics computation lives here.
+Pure data containers with validation, plus the cutoffs every engine
+applies; no physics computation lives here.
 """
 
 from __future__ import annotations
@@ -9,7 +10,13 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
+
+#: A total or per-class record weight |P| below this vanishes; it also
+#: caps the cutoffs of :func:`class_cutoffs`.
+DEGENERACY_TOL = 1e-13
 
 #: Default qubit-count ceiling for the scalable (per-class) engine.
 DEFAULT_MAX_QUBITS = 64
@@ -18,6 +25,20 @@ DEFAULT_MAX_QUBITS = 64
 class DegeneracyError(ValueError):
     """Raised when a requested quantity is undefined because the relevant
     probability (or population denominator) vanishes to working precision."""
+
+
+def class_cutoffs(c_abs):
+    """(pole_below, drop_below), elementwise, for classes of coherence |C|.
+
+    A class's information term 4 |C|^2 N^2 / (A + B) is a pole when |A + B|
+    < min(tol, 2 |C|^2), and adds nothing when |A + B| < min(tol, |C|),
+    where the populations have cancelled, or when |C|^2 = 0 (drop_below is
+    then inf).  Physical classes have |A + B| >= 2 |C|: never a pole.
+    """
+    c_sq = c_abs * c_abs
+    pole_below = np.minimum(DEGENERACY_TOL, 2.0 * c_sq)
+    drop_below = np.where(c_sq == 0.0, np.inf, np.minimum(DEGENERACY_TOL, c_abs))
+    return pole_below, drop_below
 
 
 class Convention(str, enum.Enum):

@@ -20,18 +20,16 @@ import numpy as np
 
 from ghzprotect.params import (
     DEFAULT_MAX_QUBITS,
+    DEGENERACY_TOL,
     Convention,
     DegeneracyError,
     Engine,
     MetricsRow,
     ProtocolParams,
+    class_cutoffs,
     validate_params,
 )
 
-_DEGENERACY_TOL = 1e-13
-#: Below this, corner populations have underflowed and their class is
-#: dropped unless it is a pole, as the dense engine drops such branches.
-_UNDERFLOW_TOL = 1e-14
 #: Most (class, point) values one QFI block holds: a scalar call takes all
 #: classes at once, a 181x181 grid one class at a time.
 _BLOCK_ELEMENTS = 1 << 15
@@ -88,8 +86,8 @@ class BranchElements:
     coherences at (|1...1>, |0...0>) and its transpose position; P is the
     class trace (per-record weight, before multiplicity).  diag_alpha and
     diag_beta are the two diagonal tensor products descending from the
-    input populations |alpha|^2 and |beta|^2; A, B and P are their entries
-    and traces, kept separately for O(1) aggregate formulas.
+    input populations |alpha|^2 and |beta|^2; A, B and P are the sums of
+    their extreme entries and of their traces.
     """
 
     k: int
@@ -137,21 +135,26 @@ def _qubit_pairs(p: ProtocolParams, convention: Convention):
     return alpha_o0, alpha_o1, beta_o0, beta_o1
 
 
-def _element_scalars(
-    p: ProtocolParams, k: int, convention: Convention
-) -> tuple[complex, complex, complex, complex, complex]:
-    """(A, B, C, D, P) of class k via integer powers; O(1) in N."""
+def branch_elements(
+    p: ProtocolParams,
+    k: int,
+    convention: Convention,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
+) -> BranchElements:
+    """Closed-form branch operator of the record class with k zeros."""
+    validate_params(p, max_qubits=max_qubits)
     n = p.n_qubits
-    alpha, beta = p.alpha, p.beta
-    c2, s2 = abs(alpha) ** 2, abs(beta) ** 2
-    a0, a1, b0, b1 = _qubit_pairs(p, convention)
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in [0, {n}], got {k}")
 
-    pop_a0 = c2 * a0[0] ** k * a1[0] ** (n - k)
-    pop_b0 = s2 * b0[0] ** k * b1[0] ** (n - k)
-    pop_a1 = c2 * a0[1] ** k * a1[1] ** (n - k)
-    pop_b1 = s2 * b0[1] ** k * b1[1] ** (n - k)
-    trace_a = c2 * (a0[0] + a0[1]) ** k * (a1[0] + a1[1]) ** (n - k)
-    trace_b = s2 * (b0[0] + b0[1]) ** k * (b1[0] + b1[1]) ** (n - k)
+    alpha, beta = p.alpha, p.beta
+    a0, a1, b0, b1 = _qubit_pairs(p, convention)
+    diag_alpha = DiagProduct(
+        scalar=abs(alpha) ** 2, pairs=(a0,) * k + (a1,) * (n - k)
+    )
+    diag_beta = DiagProduct(
+        scalar=abs(beta) ** 2, pairs=(b0,) * k + (b1,) * (n - k)
+    )
 
     # Corner coherence: every qubit contributes sin(theta)/2 * sqrt(1-r)
     # regardless of its record bit; only the rotation phase is conditional.
@@ -167,38 +170,11 @@ def _element_scalars(
         * np.conj(corner_lo[0]) ** k
         * np.conj(corner_lo[1]) ** (n - k)
     )
-    return (
-        pop_a0 + pop_b0,
-        pop_a1 + pop_b1,
-        complex(lower),
-        complex(upper),
-        trace_a + trace_b,
-    )
-
-
-def branch_elements(
-    p: ProtocolParams,
-    k: int,
-    convention: Convention,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> BranchElements:
-    """Closed-form branch operator of the record class with k zeros."""
-    validate_params(p, max_qubits=max_qubits)
-    n = p.n_qubits
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
-
-    a, b, c, d, prob = _element_scalars(p, k, convention)
-    alpha, beta = p.alpha, p.beta
-    a0, a1, b0, b1 = _qubit_pairs(p, convention)
-    diag_alpha = DiagProduct(
-        scalar=abs(alpha) ** 2, pairs=(a0,) * k + (a1,) * (n - k)
-    )
-    diag_beta = DiagProduct(
-        scalar=abs(beta) ** 2, pairs=(b0,) * k + (b1,) * (n - k)
-    )
     return BranchElements(
-        k=k, A=a, B=b, C=c, D=d, P=prob,
+        k=k, C=complex(lower), D=complex(upper),
+        A=diag_alpha.first_entry() + diag_beta.first_entry(),
+        B=diag_alpha.last_entry() + diag_beta.last_entry(),
+        P=diag_alpha.trace() + diag_beta.trace(),
         diag_alpha=diag_alpha, diag_beta=diag_beta,
     )
 
@@ -208,19 +184,19 @@ def branch_qfi(elements: BranchElements, n: int) -> complex:
 
     The normalized branch state holds corner coherence C/P between
     populations A/P and B/P, and the collective phase winds it at rate n,
-    giving (1/P) * 4 |C|^2 n^2 / (A + B).  Classes with no surviving
-    coherence carry no information and return 0 without touching the
-    denominators.
+    giving (1/P) * 4 |C|^2 n^2 / (A + B).  A class that the aggregates'
+    rule (:func:`~ghzprotect.params.class_cutoffs`) drops returns 0.
     """
-    if abs(elements.C) == 0.0:
-        return 0.0 + 0.0j
     denom = elements.A + elements.B
-    if abs(denom) < _DEGENERACY_TOL:
+    pole_below, drop_below = class_cutoffs(abs(elements.C))
+    if abs(denom) < pole_below:
         raise DegeneracyError(
             f"class k={elements.k} has vanishing corner populations "
             f"|A+B|={abs(denom)}; its information is undefined"
         )
-    if abs(elements.P) < _DEGENERACY_TOL:
+    if abs(denom) < drop_below:
+        return 0.0 + 0.0j
+    if abs(elements.P) < DEGENERACY_TOL:
         raise DegeneracyError(
             f"class k={elements.k} has vanishing weight |P|={abs(elements.P)}"
         )
@@ -251,7 +227,7 @@ def aggregate_complex(
     where = f"theta={p.theta}, eta={p.eta}, r={p.r}"
     if cmath.isnan(total):
         raise DegeneracyError(
-            f"total record weight vanishes (|P| < {_DEGENERACY_TOL}) at {where}"
+            f"total record weight vanishes (|P| < {DEGENERACY_TOL}) at {where}"
         )
     if cmath.isnan(qfi):
         raise DegeneracyError(
@@ -405,7 +381,7 @@ def _closed_forms(
         c2 + s2, u_vr, q, e_back, n
     ):
         p_total = (c2 + s2) * e_n * _int_power(u_vr + q_back, n)
-        degenerate = np.abs(p_total) < _DEGENERACY_TOL
+        degenerate = np.abs(p_total) < DEGENERACY_TOL
     if fidelity:
         if convention is Convention.PAPER:
             coherence_n = (2.0 * w) ** n  # the corner phases cancel in C + D
@@ -428,7 +404,7 @@ def _weight_clears_cutoff(scale: float, u_vr, q, e_back, n: int) -> bool:
     NaN fails the test.
     """
     low = np.min(u_vr + q * np.min(e_back.real))
-    return bool(low > 0.0 and scale * low**n >= 2.0 * _DEGENERACY_TOL)
+    return bool(low > 0.0 and scale * low**n >= 2.0 * DEGENERACY_TOL)
 
 
 def _class_sum(n: int, k: np.ndarray, shape: tuple[int, ...], terms) -> np.ndarray:
@@ -439,11 +415,13 @@ def _class_sum(n: int, k: np.ndarray, shape: tuple[int, ...], terms) -> np.ndarr
     A one-point grid sums its class axis pairwise, as numpy does along a
     contiguous axis, so its last bits can differ.  With one class
     a block, a class whose |A_k + B_k| a bound puts above both cutoffs
-    skips them (:func:`_clear_classes`).
+    skips them (:func:`_clear_classes`); where |C|^2 = 0 its weight is 0,
+    so it adds 0 either way.
     """
     c2, s2, u, q, vr_n, w, phase, degenerate = terms
     c_abs = math.sqrt(c2 * s2) * w**n  # |C|, the same for every class
     c_sq = c_abs * c_abs
+    pole_below, drop_below = class_cutoffs(c_abs)
 
     # A_k + B_k = pop_a[k] phase[k] + pop_b[k] conj(phase[k]).
     powers = u**k * q ** k[::-1]
@@ -452,8 +430,6 @@ def _class_sum(n: int, k: np.ndarray, shape: tuple[int, ...], terms) -> np.ndarr
     pop_b[0] += c2 * vr_n
     plus, minus = pop_a + pop_b, pop_a - pop_b
     weight = _multiplicities(n).reshape(k.shape) * (4.0 * n**2 * c_sq)
-    drop_below = np.clip(c_abs, _UNDERFLOW_TOL, _DEGENERACY_TOL)
-    pole_below = np.minimum(_DEGENERACY_TOL, 2.0 * c_sq)
 
     block = max(1, _BLOCK_ELEMENTS // max(1, math.prod(shape)))
     clear = _clear_classes(plus, minus, phase) if block == 1 else np.zeros(n + 1, bool)
@@ -500,7 +476,7 @@ def _clear_classes(
         ],
         axis=0,
     )
-    return floor * (1.0 - 1e-12) >= 2.0 * _DEGENERACY_TOL
+    return floor * (1.0 - 1e-12) >= 2.0 * DEGENERACY_TOL
 
 
 def _aggregates(
@@ -522,9 +498,8 @@ def _aggregates(
     |A_k| |B_k|.  Probability and fidelity collapse to O(1) powers
     (:func:`_closed_forms`).  The QFI sums mult 4 n^2 |C|^2 / (A+B) over
     the classes (:func:`_class_sum`), in blocks along a k axis of at most
-    _BLOCK_ELEMENTS values.  Below |A+B| = 1e-13 a class is a pole (NaN) if
-    |C|^2 > |A+B| / 2, and is dropped if it has underflowed (|A+B| < 1e-14)
-    or its populations have cancelled (|A+B| < |C|).
+    _BLOCK_ELEMENTS values.  Each class is a pole (NaN) or adds nothing by
+    :func:`~ghzprotect.params.class_cutoffs`, the rule every engine uses.
 
     ``probability``, ``fidelity`` and ``qfi`` select the fields to
     compute; each skipped field comes back as None, and each computed one

@@ -70,6 +70,16 @@ class TestMetricsCommand:
         assert row["engine"] == "structured"
         assert row["convention"] == "paper"
 
+    def test_identity_point_at_the_qubit_cap(self, capsys):
+        # Every class there has |A+B| = 2^-64: its information counts.
+        code, out, _ = run_cli(capsys, [
+            "metrics", "--n", "64", "--r", "0", "--theta", repr(PI / 2),
+            "--convention", "physical",
+        ])
+        assert code == 0
+        (row,) = parse_table(out)[1]
+        assert row["qfi"] == "4096"
+
     def test_engine_variants_agree_at_identity(self, capsys):
         values = {}
         for engine in (e.value for e in Engine):

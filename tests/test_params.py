@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from ghzprotect.params import (
+    DEGENERACY_TOL,
     BranchClass,
     Convention,
     Engine,
     MetricsRow,
     ProtocolParams,
     branch_classes,
+    class_cutoffs,
     validate_params,
 )
 
@@ -179,3 +181,20 @@ class TestMetricsRow:
     def test_imag_residual_non_negative(self):
         with pytest.raises(ValueError, match="imag_residual"):
             self.make_row(imag_residual=-1e-18)
+
+
+class TestClassCutoffs:
+    def test_each_tier(self):
+        # (|C|, pole_below, drop_below): a strong coherence, one near
+        # cancellation, and one whose square underflows.
+        cases = [
+            (0.1, DEGENERACY_TOL, DEGENERACY_TOL),
+            (3e-14, 2.0 * 3e-14 * 3e-14, 3e-14),
+            (1e-170, 0.0, math.inf),
+            (0.0, 0.0, math.inf),
+        ]
+        for c_abs, pole, drop in cases:
+            assert class_cutoffs(c_abs) == (pole, drop), c_abs
+        poles, drops = class_cutoffs(np.array([c for c, _, _ in cases]))
+        assert poles.tolist() == [pole for _, pole, _ in cases]
+        assert drops.tolist() == [drop for _, _, drop in cases]

@@ -5,14 +5,16 @@ checked against literal dense evolution on small registers, and frozen
 spot values pin the formulas themselves.
 """
 
+import cmath
 import itertools
 import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghzprotect.dense import (
@@ -63,6 +65,26 @@ def random_params(rng, n, **fixed):
     return ProtocolParams(**draw)
 
 
+def class_sum_oracle(n, gamma, theta, eta, r, convention):
+    """The QFI class sum sum_k C(n,k) 4 n^2 |C|^2 / (A_k + B_k) at 50 digits.
+
+    A_k and B_k are the corner populations of class k and |C|^2 =
+    c2 s2 (u q)^n; no class is dropped.  Returns a complex number.
+    """
+    with mpmath.workdps(50):
+        c2, s2 = mpmath.cos(gamma / 2) ** 2, mpmath.sin(gamma / 2) ** 2
+        u, v = mpmath.cos(theta / 2) ** 2, mpmath.sin(theta / 2) ** 2
+        q, vr = v * (1 - mpmath.mpf(r)), v * r
+        e = mpmath.expj(eta) if convention is Convention.PAPER else 1
+        c_sq = c2 * s2 * (u * q) ** n
+        total = 0
+        for k in range(n + 1):
+            a = c2 * u**k * q ** (n - k) * e ** (2 * k - n) + (k == n) * s2 * (vr * e) ** n
+            b = s2 * q**k * u ** (n - k) * e ** (n - 2 * k) + (k == 0) * c2 * (vr * e) ** n
+            total += mpmath.binomial(n, k) * 4 * n**2 * c_sq / (a + b)
+        return complex(total)
+
+
 class TestDiagProduct:
     def test_trace_first_last_against_expansion(self):
         rng = np.random.default_rng(43)
@@ -90,18 +112,26 @@ class TestBranchElements:
         np.testing.assert_allclose(e.P, 0.25, atol=1e-15)
 
     def test_diag_products_agree_with_scalars(self):
+        # A, B and P against their integer-power forms, with e the diagonal
+        # rotation phase (1 under the physical convention).
         rng = np.random.default_rng(47)
         for _ in range(20):
             p = random_params(rng, 3)
+            c2, s2 = abs(p.alpha) ** 2, abs(p.beta) ** 2
+            u, v = math.cos(p.theta / 2) ** 2, math.sin(p.theta / 2) ** 2
+            q, vr = v * (1.0 - p.r), v * p.r
             for conv in Convention:
+                e = cmath.exp(1j * p.eta) if conv is Convention.PAPER else 1.0
                 for k in range(4):
-                    e = branch_elements(p, k, conv)
-                    first = e.diag_alpha.first_entry() + e.diag_beta.first_entry()
-                    last = e.diag_alpha.last_entry() + e.diag_beta.last_entry()
-                    trace = e.diag_alpha.trace() + e.diag_beta.trace()
-                    np.testing.assert_allclose(first, e.A, atol=1e-14)
-                    np.testing.assert_allclose(last, e.B, atol=1e-14)
-                    np.testing.assert_allclose(trace, e.P, atol=1e-14)
+                    el = branch_elements(p, k, conv)
+                    first = c2 * u**k * q ** (3 - k) * e ** (2 * k - 3)
+                    last = s2 * q**k * u ** (3 - k) * e ** (3 - 2 * k)
+                    edge = (vr * e) ** 3
+                    trace = c2 * (u * e) ** k * (q / e + vr * e) ** (3 - k)
+                    trace += s2 * (vr * e + q / e) ** k * (u * e) ** (3 - k)
+                    np.testing.assert_allclose(el.A, first + (k == 3) * s2 * edge, atol=1e-14)
+                    np.testing.assert_allclose(el.B, last + (k == 0) * c2 * edge, atol=1e-14)
+                    np.testing.assert_allclose(el.P, trace, atol=1e-14)
 
     def test_corner_magnitude_k_independent(self):
         rng = np.random.default_rng(53)
@@ -160,6 +190,13 @@ class TestBranchElements:
             state_export(e, 3)
 
 
+#: N = 6 paper-convention point whose QFI classes sit near cancellation.
+_NEAR_CANCELLED = ProtocolParams(
+    n_qubits=6, gamma=1.35130, phi0=0.24441, theta=2.98400,
+    eta=2.59529, r=0.99356, extended_theta=True,
+)
+
+
 class TestBranchQfi:
     def test_pure_balanced_class(self):
         # theta=pi/2, r=0, eta=0, k=0: normalized branch state is the pure
@@ -190,6 +227,20 @@ class TestBranchQfi:
         with pytest.raises(DegeneracyError, match="weight"):
             branch_qfi(e, 1)
 
+    def test_classes_sum_to_the_aggregate_at_cancelled_populations(self):
+        # Classes 1..5 have |A+B| from 3.0e-14 to 6.3e-14, next to |C| =
+        # 3.04e-14, and class 4 has cancelled below |C|: branch_qfi drops it
+        # as the aggregate does, and weighs every other class as it does.
+        p = _NEAR_CANCELLED
+        total = sum(
+            math.comb(6, e.k) * e.P * branch_qfi(e, 6)
+            for e in (branch_elements(p, k, Convention.PAPER) for k in range(7))
+        )
+        _, _, qfi = aggregate_complex(p, Convention.PAPER)
+        assert branch_qfi(branch_elements(p, 4, Convention.PAPER), 6) == 0.0
+        assert abs(total - qfi) <= 1e-9 * abs(qfi)
+
+
 
 class TestAggregateMetrics:
     def test_identity_point(self):
@@ -212,6 +263,20 @@ class TestAggregateMetrics:
                         atol=1e-9,
                         err_msg=f"aggregate mismatch at {p} ({conv.value})",
                     )
+
+    def test_dense_engine_applies_the_same_class_rule(self):
+        got = aggregate_metrics(_NEAR_CANCELLED, Convention.PAPER)
+        want = aggregate_metrics_dense(_NEAR_CANCELLED, Convention.PAPER)
+        assert got.qfi == pytest.approx(want.qfi, rel=1e-9)
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_identity_point_qfi_is_n_squared_while_c_squared_is_a_float(self, conv):
+        # Every class has |A+B| = 2^-n and |C|^2 = 2^-(2n+2), which is
+        # nonzero up to n = 536.
+        for n in range(1, 537):
+            p = make_params(n_qubits=n)
+            row = aggregate_metrics(p, conv, max_qubits=536)
+            assert row.qfi == pytest.approx(n * n, rel=1e-14), n
 
     def test_physical_probability_is_unity(self):
         rng = np.random.default_rng(71)
@@ -544,3 +609,27 @@ def test_complex_modulus_is_at_least_each_part(re, im):
     z = np.array([complex(re, im)])
     with np.errstate(over="ignore"):
         assert np.abs(z)[0] >= max(abs(re), abs(im))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 300),
+    gamma=st.floats(0.01, math.pi - 0.01),
+    theta=st.floats(0.0, math.pi),
+    r=st.floats(0.0, 1.0),
+)
+def test_physical_qfi_matches_a_50_digit_class_sum(n, gamma, theta, r):
+    # Under the physical convention no class cancels, so every class with
+    # a normal |C|^2 counts, at any N.
+    c_sq = (
+        mpmath.mpf(math.sin(gamma / 2) ** 2 * math.cos(gamma / 2) ** 2)
+        * mpmath.mpf(math.sin(theta) ** 2 / 4 * (1.0 - r)) ** n
+    )
+    assume(c_sq >= 1e-290)
+    p = ProtocolParams(
+        n_qubits=n, gamma=gamma, phi0=0.0, theta=theta, eta=0.0, r=r,
+        extended_theta=True,
+    )
+    got = aggregate_metrics(p, Convention.PHYSICAL, max_qubits=300).qfi
+    want = class_sum_oracle(n, gamma, theta, 0.0, r, Convention.PHYSICAL).real
+    assert abs(got - want) <= 1e-12 * want
