@@ -401,15 +401,7 @@ def do_nothing_baseline(p: ProtocolParams) -> MetricsRow:
 
     -- which is exact for any register size.
     """
-    ProtocolParams(
-        n_qubits=p.n_qubits,
-        gamma=p.gamma,
-        phi0=p.phi0,
-        theta=p.theta,
-        eta=p.eta,
-        r=p.r,
-        extended_theta=p.extended_theta,
-    )
+    ProtocolParams.__post_init__(p)  # the range checks, on the object itself
     n, r = p.n_qubits, p.r
     alpha, beta = p.alpha, p.beta
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2

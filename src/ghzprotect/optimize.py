@@ -32,7 +32,12 @@ from .params import (
     MetricsRow,
     ProtocolParams,
 )
-from .structured import _aggregates, aggregate_metrics
+from .structured import (
+    _aggregates,
+    _metrics_row,
+    _paired_complex,
+    aggregate_metrics,
+)
 
 __all__ = [
     "Objective",
@@ -118,7 +123,11 @@ class OptResult:
 
     ``value`` is the maximized metric re-evaluated through the scalar
     path of the requested engine at ``(theta_star, eta_star)``, so it
-    always equals the corresponding field of ``companion`` exactly.
+    always equals the corresponding field of ``companion`` exactly.  The
+    structured engine re-evaluates all levels of a search in one paired
+    call, and each ``companion`` is the row
+    :func:`~ghzprotect.structured.aggregate_metrics` gives at its point,
+    bit for bit.
     ``on_boundary`` flags an optimum sitting on an edge of the original
     search ranges (range clipping rather than an interior peak); the
     rotation range counts only where the objective depends on the angle,
@@ -291,8 +300,13 @@ def _search(
     ``|probability - 1| < 1e-9`` compete.  The grids hold only the fields
     the search reads (:func:`_grid_values`), and the rotation axis is the
     one :func:`_eta_axis` gives.  The incumbents are re-evaluated through
-    the scalar path of ``engine``; results, and the error of a level with
-    no candidate, come in the order of ``rs``.
+    the scalar path of ``engine``: the structured engine takes every
+    level's incumbent in one paired call
+    (:func:`~ghzprotect.structured._paired_complex`), each with the bits
+    of :func:`~ghzprotect.structured.aggregate_metrics` at its point; the
+    other engines take one :func:`_point_row` per level.  Results, and the
+    errors of the re-evaluation and of a level with no candidate, come in
+    the order of ``rs``.
     """
     eta_matters = not unit_probability and (
         convention is not Convention.PHYSICAL or objective is Objective.FIDELITY
@@ -339,24 +353,34 @@ def _search(
             np.where(better, etas[levels, j], best[1]),
         ]
 
+    # Levels up to the first without a candidate are re-evaluated, in
+    # order, before that level raises, as one scalar call per level would.
+    searched = len(rs) if found.all() else int(np.argmin(found))
+    stars = [
+        (r, float(best[0][level]), float(best[1][level]))
+        for level, r in enumerate(rs[:searched])
+    ]
+    if engine is Engine.STRUCTURED:
+        paired = _paired_complex(p_base, stars, convention)
+        companions = (
+            _metrics_row(star, aggregates, convention)
+            for star, aggregates in zip(stars, paired)
+        )
+    else:
+        companions = (
+            _point_row(
+                dataclasses.replace(
+                    p_base, theta=theta, eta=eta, r=r, extended_theta=True
+                ),
+                engine,
+                convention,
+            )
+            for r, theta, eta in stars
+        )
     th_lo, th_hi, _ = grid.theta_range
     et_lo, et_hi, _ = grid.eta_range
     results = []
-    for level, r in enumerate(rs):
-        if not found[level]:
-            if unit_probability:
-                raise ConstraintInfeasibleError(
-                    "no grid point reaches unit probability within 1e-9"
-                )
-            raise DegeneracyError(
-                "no evaluable grid point: every record-average in the "
-                "search range is numerically undefined"
-            )
-        theta_star, eta_star = float(best[0][level]), float(best[1][level])
-        p_star = dataclasses.replace(
-            p_base, theta=theta_star, eta=eta_star, r=r, extended_theta=True
-        )
-        companion = _point_row(p_star, engine, convention)
+    for (r, theta_star, eta_star), companion in zip(stars, companions):
         if unit_probability and (
             abs(companion.probability - 1.0) >= UNIT_PROBABILITY_TOL
         ):
@@ -377,6 +401,15 @@ def _search(
                 on_boundary=theta_star in (th_lo, th_hi)
                 or (eta_matters and eta_star in (et_lo, et_hi)),
             )
+        )
+    if searched < len(rs):
+        if unit_probability:
+            raise ConstraintInfeasibleError(
+                "no grid point reaches unit probability within 1e-9"
+            )
+        raise DegeneracyError(
+            "no evaluable grid point: every record-average in the "
+            "search range is numerically undefined"
         )
     return results
 

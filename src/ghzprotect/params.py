@@ -151,17 +151,10 @@ def validate_params(p: ProtocolParams, max_qubits: int = DEFAULT_MAX_QUBITS) -> 
 
     Returns the parameter set unchanged if everything holds.
     """
-    # Re-run the range checks; frozen dataclasses can still be constructed
-    # with object.__setattr__ tricks, and callers may pass subclasses.
-    ProtocolParams(
-        n_qubits=p.n_qubits,
-        gamma=p.gamma,
-        phi0=p.phi0,
-        theta=p.theta,
-        eta=p.eta,
-        r=p.r,
-        extended_theta=p.extended_theta,
-    )
+    # Re-run the range checks on the object itself; frozen dataclasses can
+    # still be mutated with object.__setattr__, and callers may pass
+    # subclasses.
+    ProtocolParams.__post_init__(p)
     if p.n_qubits > max_qubits:
         raise ValueError(
             f"n_qubits={p.n_qubits} exceeds the configured maximum {max_qubits}"

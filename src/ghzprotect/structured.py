@@ -14,7 +14,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,8 +30,9 @@ from ghzprotect.params import (
     validate_params,
 )
 
-#: Most (class, point) values one QFI block holds: a scalar call takes all
-#: classes at once, a 181x181 grid one class at a time.
+#: Most (class, point) values one QFI block holds: a grid splits over
+#: classes (a 181x181 grid takes one class at a time), a paired evaluation
+#: over points (a block holds whole points).
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -203,10 +204,63 @@ def branch_qfi(elements: BranchElements, n: int) -> complex:
     return (1.0 / elements.P) * 4.0 * abs(elements.C) ** 2 * n**2 / denom
 
 
-def _realize(values: list[complex]) -> tuple[list[float], float]:
-    """Real parts of aggregates plus the largest imaginary magnitude."""
-    residual = max(abs(z.imag) for z in values)
-    return [z.real for z in values], residual
+def _paired_complex(
+    p: ProtocolParams,
+    points: Sequence[tuple[float, float, float]],
+    convention: Convention,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
+) -> Iterator[tuple[complex, complex, complex]]:
+    """Unrealized (probability, fidelity, qfi) at each paired (r, theta, eta) point.
+
+    ``p`` gives the register and input state; its own angles and decay
+    probability are not read.  On the first ``next`` it is checked
+    against ``max_qubits`` and all points are evaluated in one kernel call
+    (:func:`_aggregates` with ``paired``), each with the bits it has
+    alone.  The points then come out in order; one where the kernel
+    returns NaN raises :class:`DegeneracyError` when it is reached.
+    """
+    validate_params(p, max_qubits=max_qubits)
+    axes = (np.array(axis, dtype=np.float64) for axis in zip(*points))
+    totals, fids, qfis = (
+        z.tolist()
+        for z in _aggregates(p.n_qubits, p.gamma, *axes, convention, paired=True)
+    )
+    for (r, theta, eta), total, fid, qfi in zip(points, totals, fids, qfis):
+        if cmath.isnan(total) or cmath.isnan(qfi):
+            where = f"theta={theta}, eta={eta}, r={r}"
+            if cmath.isnan(total):
+                raise DegeneracyError(
+                    f"total record weight vanishes (|P| < {DEGENERACY_TOL}) at {where}"
+                )
+            raise DegeneracyError(
+                f"a record class has vanishing corner populations at {where}"
+            )
+        yield total, fid, qfi
+
+
+def _metrics_row(
+    point: tuple[float, float, float],
+    aggregates: tuple[complex, complex, complex],
+    convention: Convention,
+) -> MetricsRow:
+    """The realized row of one (r, theta, eta) point's complex aggregates.
+
+    The metrics are the real parts; the largest discarded imaginary
+    magnitude is reported as ``imag_residual``.
+    """
+    r, theta, eta = point
+    total, fid, qfi = aggregates
+    return MetricsRow(
+        r=r,
+        theta=theta,
+        eta=eta,
+        probability=total.real,
+        fidelity=fid.real,
+        qfi=qfi.real,
+        imag_residual=max(abs(z.imag) for z in aggregates),
+        convention=convention,
+        engine=Engine.STRUCTURED,
+    )
 
 
 def aggregate_complex(
@@ -216,24 +270,13 @@ def aggregate_complex(
 ) -> tuple[complex, complex, complex]:
     """Unrealized (complex) aggregates: (probability, fidelity, qfi).
 
-    The 0-d call of the kernel behind :func:`metrics_grid`, raising
-    :class:`DegeneracyError` wherever that kernel returns NaN.  Aggregates
-    are complex under the two-sided-multiplication convention;
+    The one-point call of the paired evaluation the optimizer uses to
+    re-evaluate its optima, raising :class:`DegeneracyError` wherever the
+    kernel behind :func:`metrics_grid` returns NaN.  Aggregates are
+    complex under the two-sided-multiplication convention;
     :func:`aggregate_metrics` wraps this and realizes the real parts.
     """
-    validate_params(p, max_qubits=max_qubits)
-    aggregates = _aggregates(p.n_qubits, p.gamma, p.r, p.theta, p.eta, convention)
-    total, fid, qfi = map(complex, aggregates)
-    where = f"theta={p.theta}, eta={p.eta}, r={p.r}"
-    if cmath.isnan(total):
-        raise DegeneracyError(
-            f"total record weight vanishes (|P| < {DEGENERACY_TOL}) at {where}"
-        )
-    if cmath.isnan(qfi):
-        raise DegeneracyError(
-            f"a record class has vanishing corner populations at {where}"
-        )
-    return total, fid, qfi
+    return next(_paired_complex(p, [(p.r, p.theta, p.eta)], convention, max_qubits))
 
 
 def aggregate_metrics(
@@ -247,19 +290,8 @@ def aggregate_metrics(
     real parts; the largest discarded imaginary magnitude is reported as
     ``imag_residual``.
     """
-    p_total, fid, qfi = aggregate_complex(p, convention, max_qubits=max_qubits)
-    (prob_re, fid_re, qfi_re), residual = _realize([p_total, fid, qfi])
-    return MetricsRow(
-        r=p.r,
-        theta=p.theta,
-        eta=p.eta,
-        probability=prob_re,
-        fidelity=fid_re,
-        qfi=qfi_re,
-        imag_residual=residual,
-        convention=convention,
-        engine=Engine.STRUCTURED,
-    )
+    aggregates = aggregate_complex(p, convention, max_qubits=max_qubits)
+    return _metrics_row((p.r, p.theta, p.eta), aggregates, convention)
 
 
 def state_export(elements: BranchElements, n: int) -> np.ndarray:
@@ -296,10 +328,11 @@ def metrics_grid(
     """Vectorized aggregates over broadcastable theta/eta arrays.
 
     Returns complex arrays (probability, fidelity, qfi) of the broadcast
-    shape from the kernel whose 0-d call is :func:`aggregate_complex`.
+    shape from the kernel of the scalar path, :func:`aggregate_complex`.
     Each probability and fidelity equals the scalar path's value exactly.
     The QFI does on a one-point grid; on larger grids it can differ in
-    the last bits, since the scalar path sums the classes pairwise (see
+    the last bits, since a grid adds its classes in order of k and the
+    scalar path sums each point's classes pairwise (see
     :func:`_class_sum`).  Points where the scalar path raises
     :class:`DegeneracyError` come back as NaN, so sweeps can skip them.
     The aggregates do not depend on ``phi0``.
@@ -407,16 +440,23 @@ def _weight_clears_cutoff(scale: float, u_vr, q, e_back, n: int) -> bool:
     return bool(low > 0.0 and scale * low**n >= 2.0 * DEGENERACY_TOL)
 
 
-def _class_sum(n: int, k: np.ndarray, shape: tuple[int, ...], terms) -> np.ndarray:
+def _class_sum(
+    n: int, k: np.ndarray, shape: tuple[int, ...], terms, paired: bool = False
+) -> np.ndarray:
     """The QFI of :func:`_aggregates`: its class sum over the full class axis ``k``.
 
-    Classes add in order of k, whatever the block size, so a grid of two
-    points or more has, row by row, the bits of its rows evaluated alone.
-    A one-point grid sums its class axis pairwise, as numpy does along a
-    contiguous axis, so its last bits can differ.  With one class
-    a block, a class whose |A_k + B_k| a bound puts above both cutoffs
-    skips them (:func:`_clear_classes`); where |C|^2 = 0 its weight is 0,
-    so it adds 0 either way.
+    On a grid, classes add in order of k, whatever the block size, so a
+    grid of two points or more has, row by row, the bits of its rows
+    evaluated alone.  A one-point grid sums its class axis pairwise, as
+    numpy does along a contiguous axis, so its last bits can differ.  With
+    one class a block, a class whose |A_k + B_k| a bound puts above both
+    cutoffs skips them (:func:`_clear_classes`); where |C|^2 = 0 its
+    weight is 0, so it adds 0 either way.
+
+    With ``paired``, the L points of ``shape`` = (L,) are independent:
+    each sums its n+1 class terms in one pairwise reduction along a
+    contiguous class axis, the order of a one-point grid, so each has the
+    bits it has alone.  Blocks then split the points, never the classes.
     """
     c2, s2, u, q, vr_n, w, phase, degenerate = terms
     c_abs = math.sqrt(c2 * s2) * w**n  # |C|, the same for every class
@@ -431,25 +471,42 @@ def _class_sum(n: int, k: np.ndarray, shape: tuple[int, ...], terms) -> np.ndarr
     plus, minus = pop_a + pop_b, pop_a - pop_b
     weight = _multiplicities(n).reshape(k.shape) * (4.0 * n**2 * c_sq)
 
-    block = max(1, _BLOCK_ELEMENTS // max(1, math.prod(shape)))
-    clear = _clear_classes(plus, minus, phase) if block == 1 else np.zeros(n + 1, bool)
-    qfi = np.zeros(shape, dtype=np.complex128)
-    denom = np.empty((min(block, n + 1),) + shape, dtype=np.complex128)
-    for start in range(0, n + 1, block):
-        ks = slice(start, min(start + block, n + 1))
-        d = denom[: ks.stop - start]
-        np.multiply(plus[ks], phase[ks].real, out=d.real)
-        np.multiply(minus[ks], phase[ks].imag, out=d.imag)
-        if not clear[start]:
+    if paired:
+        qfi = np.empty(shape, dtype=np.complex128)
+        step = max(1, _BLOCK_ELEMENTS // (n + 1))
+        for start in range(0, shape[0], step):
+            ps = slice(start, min(start + step, shape[0]))
+            rows = np.empty((ps.stop - start, n + 1), dtype=np.complex128)
+            d = rows.T  # class-first, as on a grid, over a contiguous class axis
+            np.multiply(plus[:, ps], phase[:, ps].real, out=d.real)
+            np.multiply(minus[:, ps], phase[:, ps].imag, out=d.imag)
             size = np.abs(d)
-            d[size < drop_below] = np.inf  # a dropped class adds nothing
-            d[size < pole_below] = np.nan
-        np.divide(weight[ks], d, out=d)
-        if block == 1:
-            qfi += d[0]  # in place, without two grid temporaries
-        else:
-            d[0] += qfi  # the running sum heads the block, so classes add in order
-            qfi = d.sum(axis=0)
+            d[size < drop_below[ps]] = np.inf  # a dropped class adds nothing
+            d[size < pole_below[ps]] = np.nan
+            np.divide(weight[:, ps], d, out=d)
+            qfi[ps] = rows.sum(axis=1)
+    else:
+        block = max(1, _BLOCK_ELEMENTS // max(1, math.prod(shape)))
+        clear = (
+            _clear_classes(plus, minus, phase) if block == 1 else np.zeros(n + 1, bool)
+        )
+        qfi = np.zeros(shape, dtype=np.complex128)
+        denom = np.empty((min(block, n + 1),) + shape, dtype=np.complex128)
+        for start in range(0, n + 1, block):
+            ks = slice(start, min(start + block, n + 1))
+            d = denom[: ks.stop - start]
+            np.multiply(plus[ks], phase[ks].real, out=d.real)
+            np.multiply(minus[ks], phase[ks].imag, out=d.imag)
+            if not clear[start]:
+                size = np.abs(d)
+                d[size < drop_below] = np.inf  # a dropped class adds nothing
+                d[size < pole_below] = np.nan
+            np.divide(weight[ks], d, out=d)
+            if block == 1:
+                qfi += d[0]  # in place, without two grid temporaries
+            else:
+                d[0] += qfi  # the running sum heads the block, so classes add in order
+                qfi = d.sum(axis=0)
     if degenerate is not None:
         qfi[degenerate] = np.nan
     return qfi
@@ -489,6 +546,7 @@ def _aggregates(
     fidelity: bool = True,
     qfi: bool = True,
     probability: bool = True,
+    paired: bool = False,
 ) -> tuple[Optional[np.ndarray], ...]:
     """Complex (probability, fidelity, qfi) over broadcast r/theta/eta, NaN if undefined.
 
@@ -507,8 +565,13 @@ def _aggregates(
     others too, since its |P| < 1e-13 mask marks their undefined points;
     for the QFI alone it is skipped where a bound shows that no point
     reaches the mask.  Without the class sum the phases cover class n
-    alone.  :func:`metrics_grid` and :func:`aggregate_complex` ask for
-    every field; the optimizer asks only for the fields its search reads.
+    alone.  :func:`metrics_grid` asks for every field; the optimizer's
+    grids ask only for the fields their search reads.
+
+    With ``paired``, r, theta and eta are 1-D arrays of one length L, and
+    point i is (r[i], theta[i], eta[i]): each point's QFI has the bits of
+    its one-point call, whatever L (see :func:`_class_sum`).  This is the
+    scalar path, :func:`_paired_complex`.
     """
     (r, theta, eta), out_shape = _broadcast(r, theta, eta)
     shape = out_shape or (1,)
@@ -519,6 +582,6 @@ def _aggregates(
         p_total, fid, terms = _closed_forms(
             n, gamma, r, theta, eta, convention, k, probability, fidelity
         )
-        info = _class_sum(n, k, shape, terms) if qfi else None
+        info = _class_sum(n, k, shape, terms, paired) if qfi else None
 
     return tuple(None if z is None else z.reshape(out_shape) for z in (p_total, fid, info))

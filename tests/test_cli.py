@@ -376,6 +376,33 @@ class TestSweepCommand:
         assert float(row["value"]) == value
         assert float(row["baseline_qfi"]) == baseline_qfi
 
+    @pytest.mark.parametrize("line", [
+        "fidelity,structured,paper,0.050000000000000003,1.4900007073035342,0,"
+        "0.78163575733079971,1,0.78163575733079971,37.302767462781901,0,false,1,"
+        "0.93483950224151013,31.805875155675889",
+        "fidelity,structured,paper,0.10000000000000001,0,0,0.75,1,0.75,0,0,true,1,"
+        "0.88365386091914488,19.272176047178913",
+        "fidelity,structured,paper,0.5,0,0,0.75,1,0.75,0,0,true,1,"
+        "0.73650890486027254,0.057186543401695308",
+        "fidelity,structured,paper,0.90000000000000002,0,0,0.75,1,0.75,0,0,true,1,"
+        "0.77214069560791843,5.5272061104929978e-09",
+    ])
+    def test_unit_probability_row_keeps_its_bits(self, capsys, line):
+        """Rows of the default unit-probability sweep at gamma = pi/4, to the last bit.
+
+        The sweep re-evaluates all its levels in one paired scalar call;
+        every column printed here is what one scalar call per level gave.
+        r = 0.05 is the one interior optimum among them.
+        """
+        code, out, _ = run_cli(capsys, [
+            "sweep", "--constraint", "unit-probability",
+            "--gamma", "0.7853981633974483",
+        ])
+        assert code == 0
+        header, rows = parse_table(out)
+        expected = dict(zip(header, line.split(",")))
+        assert expected in rows
+
 
 class TestParetoCommand:
     def test_identity_scan_contains_perfect_point(self, capsys):

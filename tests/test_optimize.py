@@ -385,6 +385,12 @@ SWEEP_CASES = [
 ]
 
 
+#: Decay levels of the unit-probability sweep tests: fine steps up to 0.1,
+#: where the optimum is interior and its QFI has bits to lose, then the
+#: projective plateau.
+UNIT_LEVELS = [round(0.005 * i, 3) for i in range(21)] + [0.3, 0.7, 1.0]
+
+
 class TestSweep:
     def test_information_sweep_brackets_the_collapse(self):
         results = sweep_r(Objective.QFI, [0.8, 0.9], GHZ10)
@@ -449,6 +455,34 @@ class TestSweep:
             for r in rs
         ]
         assert swept == expected
+
+    @pytest.mark.parametrize("convention", list(Convention))
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_unit_probability_companions_are_the_scalar_rows(self, n, convention):
+        # The sweep re-evaluates every level's optimum in one paired call;
+        # each companion row is the scalar path's row at its point.
+        p_base = ghz(n, math.pi / 3)
+        results = sweep_r(UNIT_PROBABILITY, UNIT_LEVELS, p_base, convention=convention)
+        assert len(results) == len(UNIT_LEVELS)
+        for res in results:
+            point = dataclasses.replace(
+                p_base, theta=res.theta_star, eta=res.eta_star, r=res.r,
+                extended_theta=True,
+            )
+            assert res.companion == aggregate_metrics(point, convention)
+
+    def test_unit_probability_sweep_makes_no_scalar_calls(self, monkeypatch):
+        expected = sweep_r(UNIT_PROBABILITY, UNIT_LEVELS, GHZ10, SMALL)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return aggregate_metrics(*args, **kwargs)
+
+        monkeypatch.setattr(structured, "aggregate_metrics", counted)
+        monkeypatch.setattr(optimize, "aggregate_metrics", counted)
+        assert sweep_r(UNIT_PROBABILITY, UNIT_LEVELS, GHZ10, SMALL) == expected
+        assert calls == []
 
     def test_rejects_bad_r_grids(self):
         with pytest.raises(ValueError):

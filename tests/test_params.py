@@ -107,6 +107,18 @@ class TestValidateParams:
             validate_params(p, max_qubits=6)
         assert validate_params(p, max_qubits=7) is p
 
+    def test_rejects_a_mutated_object_with_the_dataclass_message(self):
+        # Frozen dataclasses can still be mutated through object.__setattr__;
+        # the re-check runs on the object itself and says what construction
+        # would have said.
+        p = make_params()
+        object.__setattr__(p, "theta", 5.0)
+        with pytest.raises(ValueError) as built:
+            make_params(theta=5.0)
+        with pytest.raises(ValueError) as checked:
+            validate_params(p)
+        assert str(checked.value) == str(built.value)
+
 
 class TestBranchClasses:
     def test_n3_multiplicities(self):

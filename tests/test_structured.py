@@ -6,6 +6,7 @@ spot values pin the formulas themselves.
 """
 
 import cmath
+import dataclasses
 import itertools
 import math
 import time
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ghzprotect import structured
 from ghzprotect.dense import (
     aggregate_metrics_dense,
     run_protocol_branch,
@@ -30,6 +32,7 @@ from ghzprotect.structured import (
     BranchElements,
     DiagProduct,
     _aggregates,
+    _paired_complex,
     aggregate_complex,
     aggregate_metrics,
     branch_elements,
@@ -407,8 +410,9 @@ _ROTATION = st.one_of(
     conv=st.sampled_from(list(Convention)),
 )
 def test_scalar_path_is_the_grid_at_one_point(n, gamma, phi0, theta, eta, r, conv):
-    # The scalar path is the kernel's 0-d call: a one-element grid returns
-    # the very same numbers, and NaN exactly where the scalar path raises.
+    # The scalar path sums a point's classes as a one-element grid does: the
+    # grid returns the very same numbers, and NaN exactly where the scalar
+    # path raises.
     p = ProtocolParams(
         n_qubits=n, gamma=gamma, phi0=phi0, theta=theta, eta=eta, r=r,
         extended_theta=True,
@@ -466,8 +470,74 @@ def test_probability_fidelity_over_an_r_axis_is_the_grid_at_each_r(
         assert _same_bits(fid[i], grid_fid)
 
 
-#: Grid sizes of the field property: the scalar path's single point, one
-#: block of all classes, and one class a block (above 2^14 points).
+def _paired_outcomes(p, points, conv):
+    """Each point's paired aggregates, or the message of its DegeneracyError.
+
+    A paired evaluation stops at its first undefined point, so the points
+    after one go into a new paired call.
+    """
+    outcomes = []
+    while len(outcomes) < len(points):
+        rest = points[len(outcomes) :]
+        try:
+            for values in _paired_complex(p, rest, conv, max_qubits=p.n_qubits):
+                outcomes.append(np.array(values).tobytes())
+        except DegeneracyError as err:
+            outcomes.append(str(err))
+    return outcomes
+
+
+def _scalar_outcomes(p, points, conv):
+    """Each point's aggregate_complex, or the message of its DegeneracyError."""
+    outcomes = []
+    for r, theta, eta in points:
+        point = dataclasses.replace(p, r=r, theta=theta, eta=eta, extended_theta=True)
+        try:
+            values = aggregate_complex(point, conv, max_qubits=p.n_qubits)
+        except DegeneracyError as err:
+            outcomes.append(str(err))
+        else:
+            outcomes.append(np.array(values).tobytes())
+    return outcomes
+
+
+_R = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 300),
+    gamma=st.floats(0.01, math.pi - 0.01),
+    phi0=st.floats(0.0, 2 * math.pi),
+    points=st.lists(st.tuples(_R, _ANGLE, _ROTATION), min_size=1, max_size=8),
+    conv=st.sampled_from(list(Convention)),
+)
+def test_paired_points_have_the_bits_of_one_point_calls(n, gamma, phi0, points, conv):
+    # One paired call of L points gives each point the bits of its own
+    # aggregate_complex call, signed zeros included, and raises the same
+    # DegeneracyError at the same points.
+    p = ProtocolParams(
+        n_qubits=n, gamma=gamma, phi0=phi0, theta=0.0, eta=0.0, r=0.0
+    )
+    assert _paired_outcomes(p, points, conv) == _scalar_outcomes(p, points, conv)
+
+
+@pytest.mark.parametrize("conv", list(Convention))
+def test_a_paired_batch_splits_over_points_and_keeps_the_bits(conv):
+    # 120 points of 301 classes exceed one block of 2^15 values, so the
+    # batch is split over its points; each point keeps its bits.
+    rng = np.random.default_rng(12)
+    points = [
+        tuple(map(float, rng.uniform((0.0, 0.5, 0.0), (0.3, 2.5, 2 * math.pi))))
+        for _ in range(120)
+    ]
+    p = ProtocolParams(n_qubits=300, gamma=1.1, phi0=0.3, theta=0.0, eta=0.0, r=0.0)
+    assert 120 * 301 > structured._BLOCK_ELEMENTS
+    assert _paired_outcomes(p, points, conv) == _scalar_outcomes(p, points, conv)
+
+
+#: Grid sizes of the field property: a single point, one block of all
+#: classes, and one class a block (above 2^14 points).
 _GRID_SIZES = [(1, 1), (2, 4), (129, 130)]
 #: The (theta, eta) ranges of a first search grid.
 _FULL_RANGES = ((0.0, math.pi), (0.0, 2 * math.pi))
@@ -572,7 +642,7 @@ def _class_term_sum(p: ProtocolParams, conv: Convention) -> float:
 def test_scalar_path_matches_a_multi_point_grid(n, gamma, r, thetas, etas, conv):
     # The scalar path's probability and fidelity are the grid's bit for
     # bit, and it raises exactly where the grid holds NaN.  Its QFI may
-    # differ in the last bits: a one-point grid sums the class axis
+    # differ in the last bits: the scalar path sums the class axis
     # pairwise, a larger grid in order of k.  Either sum is within
     # (n+1) 2^-53 times the sum of the terms' moduli of the exact one, per
     # component, so the two are within twice that.
