@@ -10,7 +10,11 @@ figure    ready-to-plot data files for the standard report figures
 validate  run the named self-check suite
 
 Configuration is a flat ``key=value`` file; command-line flags override
-file values, which override built-in defaults.  The effective
+file values, which override built-in defaults.  One table (``_KEYS``)
+defines every key: its kind, default and help.  Each key a command
+accepts is also its flag (``theta_min`` is ``--theta-min``), and a flag's
+value passes the same check as the file's, so a non-finite number or an
+unknown choice exits 2 either way, with the same message.  The effective
 configuration is echoed as ``# key=value`` lines at the top of every
 output, so stripping the comment prefix from a previous output yields a
 config file that reproduces the run byte for byte.
@@ -29,6 +33,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,26 +73,8 @@ class ConfigError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# configuration keys: converters, validated domains, per-command defaults
+# configuration keys: one table of kinds, defaults and help; keys per command
 # --------------------------------------------------------------------------
-
-_INT_KEYS = {"n", "theta_steps", "eta_steps", "refine_iters", "seed"}
-_FLOAT_KEYS = {
-    "gamma", "phi0", "r", "theta", "eta",
-    "r_from", "r_to", "r_step",
-    "theta_min", "theta_max", "eta_min", "eta_max", "refine_shrink",
-}
-_CHOICE_KEYS = {
-    "engine": tuple(e.value for e in Engine),
-    "convention": tuple(c.value for c in Convention),
-    "objective": tuple(o.value for o in Objective),
-    "constraint": ("none", _UNIT_PROB_CONSTRAINT),
-    "format": ("csv", "json"),
-    "id": FIGURE_IDS,
-    "command": ("metrics", "optimize", "sweep", "pareto", "figure", "validate"),
-}
-_FREE_KEYS = {"output"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | set(_CHOICE_KEYS) | _FREE_KEYS
 
 _POINT_KEYS = ("eta", "r", "theta")
 _GRID_KEYS = (
@@ -99,48 +86,63 @@ _BASE_GRID_KEYS = tuple(k for k in _GRID_KEYS if not k.startswith("refine"))
 _ENGINE_KEYS = ("convention", "engine", "gamma", "n", "phi0")
 _IO_KEYS = ("format", "output")
 
+#: The keys each command accepts, from a config file or as flags.
 _COMMAND_KEYS: dict[str, tuple[str, ...]] = {
-    "metrics": ("command",) + _ENGINE_KEYS + _IO_KEYS + _POINT_KEYS,
-    "optimize": ("command",) + _ENGINE_KEYS + _IO_KEYS + _GRID_KEYS
+    "metrics": _ENGINE_KEYS + _IO_KEYS + _POINT_KEYS,
+    "optimize": _ENGINE_KEYS + _IO_KEYS + _GRID_KEYS
     + ("constraint", "objective", "r"),
-    "sweep": ("command",) + _ENGINE_KEYS + _IO_KEYS + _GRID_KEYS
+    "sweep": _ENGINE_KEYS + _IO_KEYS + _GRID_KEYS
     + ("constraint", "objective", "r_from", "r_step", "r_to"),
-    "pareto": ("command",) + _ENGINE_KEYS + _IO_KEYS + _BASE_GRID_KEYS + ("r",),
-    "figure": ("command", "gamma", "n", "phi0") + _IO_KEYS + _GRID_KEYS
-    + ("id", "r"),
-    "validate": ("command", "output", "seed"),
+    "pareto": _ENGINE_KEYS + _IO_KEYS + _BASE_GRID_KEYS + ("r",),
+    "figure": ("gamma", "n", "phi0") + _IO_KEYS + _GRID_KEYS + ("id", "r"),
+    "validate": ("output", "seed"),
 }
 
 
-def _base_defaults() -> dict:
-    return {
-        "engine": Engine.STRUCTURED.value,
-        "convention": Convention.PAPER.value,
-        "n": 10,
-        "gamma": math.pi / 2.0,
-        "phi0": 0.0,
-        "r": 0.5,
-        "theta": math.pi / 2.0,
-        "eta": 0.0,
-        "objective": Objective.QFI.value,
-        "constraint": "none",
-        "r_from": 0.0,
-        "r_to": 0.9,
-        "r_step": 0.05,
-        "theta_min": 0.0,
-        "theta_max": math.pi,
-        "theta_steps": 181,
-        "eta_min": 0.0,
-        "eta_max": TWO_PI,
-        "eta_steps": 181,
-        "refine_iters": 6,
-        "refine_shrink": 0.2,
-        "id": "2a",
-        "seed": 7,
-        "format": "csv",
-        "output": "-",
-    }
+class _Key(NamedTuple):
+    """One configuration key.
 
+    ``kind`` is int, float (finite), str (free text) or the tuple of the
+    accepted values.  Every command that lists the key accepts it in a
+    config file and as the flag ``--<key>``, with dashes for underscores.
+    """
+
+    kind: object
+    default: object
+    help: str
+
+
+_KEYS: dict[str, _Key] = {
+    "command": _Key(tuple(_COMMAND_KEYS), None, "the command a config file is for"),
+    "engine": _Key(tuple(e.value for e in Engine), Engine.STRUCTURED.value,
+                   "evaluation engine"),
+    "convention": _Key(tuple(c.value for c in Convention), Convention.PAPER.value,
+                       "rotation convention"),
+    "n": _Key(int, 10, "number of qubits"),
+    "gamma": _Key(float, math.pi / 2.0, "input superposition angle"),
+    "phi0": _Key(float, 0.0, "input superposition phase"),
+    "r": _Key(float, 0.5, "damping strength"),
+    "theta": _Key(float, math.pi / 2.0, "measurement strength angle"),
+    "eta": _Key(float, 0.0, "feedback rotation angle"),
+    "objective": _Key(tuple(o.value for o in Objective), Objective.QFI.value,
+                      "metric to maximize"),
+    "constraint": _Key(("none", _UNIT_PROB_CONSTRAINT), "none", "search constraint"),
+    "r_from": _Key(float, 0.0, "first damping strength"),
+    "r_to": _Key(float, 0.9, "last damping strength"),
+    "r_step": _Key(float, 0.05, "damping strength step"),
+    "theta_min": _Key(float, 0.0, "lower end of the theta grid"),
+    "theta_max": _Key(float, math.pi, "upper end of the theta grid"),
+    "theta_steps": _Key(int, 181, "points of the theta grid"),
+    "eta_min": _Key(float, 0.0, "lower end of the eta grid"),
+    "eta_max": _Key(float, TWO_PI, "upper end of the eta grid"),
+    "eta_steps": _Key(int, 181, "points of the eta grid"),
+    "refine_iters": _Key(int, 6, "grid refinement rounds"),
+    "refine_shrink": _Key(float, 0.2, "window shrink factor per refinement"),
+    "id": _Key(FIGURE_IDS, "2a", "figure identifier"),
+    "seed": _Key(int, 7, "random stream seed"),
+    "format": _Key(("csv", "json"), "csv", "output serialization"),
+    "output": _Key(str, "-", "output path, or - for stdout"),
+}
 
 # The trade-off scatter lives on the mirror-free half of the rotation
 # domain, so its default grid stops at pi.
@@ -150,12 +152,19 @@ _COMMAND_DEFAULT_OVERRIDES: dict[str, dict] = {
 
 
 def _convert(key: str, raw: str):
-    if key in _INT_KEYS:
+    """The value of ``key`` given as the text ``raw``, by a file or a flag."""
+    kind = _KEYS[key].kind
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            allowed = ", ".join(kind)
+            raise ConfigError(f"key {key!r} must be one of [{allowed}], got {raw!r}")
+        return raw
+    if kind is int:
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"key {key!r} expects an integer, got {raw!r}")
-    if key in _FLOAT_KEYS:
+    if kind is float:
         try:
             value = float(raw)
         except ValueError:
@@ -163,11 +172,6 @@ def _convert(key: str, raw: str):
         if not math.isfinite(value):
             raise ConfigError(f"key {key!r} must be finite, got {raw!r}")
         return value
-    if key in _CHOICE_KEYS:
-        if raw not in _CHOICE_KEYS[key]:
-            allowed = ", ".join(_CHOICE_KEYS[key])
-            raise ConfigError(f"key {key!r} must be one of [{allowed}], got {raw!r}")
-        return raw
     return raw
 
 
@@ -186,7 +190,7 @@ def parse_config_file(path: str) -> dict:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         mapping[key] = _convert(key, value)
     return mapping
@@ -195,9 +199,6 @@ def parse_config_file(path: str) -> dict:
 def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
     """Merge defaults, config-file values, and flags for one command."""
     keys = _COMMAND_KEYS[command]
-    defaults = _base_defaults()
-    defaults.update(_COMMAND_DEFAULT_OVERRIDES.get(command, {}))
-
     file_command = file_values.get("command")
     if file_command is not None and file_command != command:
         raise ConfigError(
@@ -208,7 +209,8 @@ def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
         if key != "command" and key not in keys:
             raise ConfigError(f"key {key!r} is not accepted by command {command!r}")
 
-    cfg = {key: defaults[key] for key in keys if key != "command"}
+    overrides = _COMMAND_DEFAULT_OVERRIDES.get(command, {})
+    cfg = {key: overrides.get(key, _KEYS[key].default) for key in keys}
     cfg["command"] = command
     explicit = set()
     for layer in (file_values, flag_values):
@@ -347,6 +349,7 @@ def _pareto_grid(cfg: dict) -> GridSpec:
 
 
 def _run_metrics(cfg: dict) -> tuple[str, int]:
+    """Evaluate one parameter point."""
     engine = Engine(cfg["engine"])
     convention = Convention(cfg["convention"])
     p = ProtocolParams(
@@ -377,6 +380,7 @@ def _optimize_result_cells(res) -> list:
 
 
 def _run_optimize(cfg: dict) -> tuple[str, int]:
+    """Maximize one metric on the angle grid."""
     engine = Engine(cfg["engine"])
     convention = Convention(cfg["convention"])
     base = _base_params(cfg)
@@ -417,6 +421,7 @@ def _sweep_mode(cfg: dict):
 
 
 def _run_sweep(cfg: dict) -> tuple[str, int]:
+    """Repeat the maximization over a damping grid."""
     engine = Engine(cfg["engine"])
     convention = Convention(cfg["convention"])
     results = sweep_r(
@@ -434,6 +439,7 @@ def _run_sweep(cfg: dict) -> tuple[str, int]:
 
 
 def _run_pareto(cfg: dict) -> tuple[str, int]:
+    """Fidelity/probability scatter over the angle grid."""
     engine = Engine(cfg["engine"])
     convention = Convention(cfg["convention"])
     scan = pareto_scan(
@@ -471,6 +477,7 @@ def _figure_sweep(cfg: dict, mode, gamma: float | None = None) -> list:
 
 
 def _run_figure(cfg: dict) -> tuple[str, int]:
+    """Data files for the standard report figures."""
     fig = cfg["id"]
     notes: list[str] = []
     if fig in ("2a", "2b", "2c", "3a", "3b"):
@@ -546,6 +553,7 @@ def _run_figure(cfg: dict) -> tuple[str, int]:
 
 
 def _run_validate(cfg: dict) -> tuple[str, int]:
+    """Run the named self-check suite."""
     results = run_validation(seed=cfg["seed"])
     report = format_report(results, cfg["seed"])
     lines = _header_lines(cfg)
@@ -569,104 +577,33 @@ _RUNNERS = {
 # --------------------------------------------------------------------------
 
 
-def _add_io_flags(sub: argparse.ArgumentParser, with_format: bool = True) -> None:
-    sub.add_argument("--config", help="flat key=value configuration file")
-    sub.add_argument("--output", help="output path, or - for stdout")
-    if with_format:
-        sub.add_argument("--format", choices=list(_CHOICE_KEYS["format"]),
-                         help="output serialization")
-
-
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--engine", choices=list(_CHOICE_KEYS["engine"]))
-    sub.add_argument("--convention", choices=list(_CHOICE_KEYS["convention"]))
-    _add_input_flags(sub)
-
-
-def _add_input_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, help="number of qubits")
-    sub.add_argument("--gamma", type=float, help="input superposition angle")
-    sub.add_argument("--phi0", type=float, help="input superposition phase")
-
-
-def _add_grid_flags(sub: argparse.ArgumentParser, refine: bool = True) -> None:
-    sub.add_argument("--theta-min", type=float)
-    sub.add_argument("--theta-max", type=float)
-    sub.add_argument("--theta-steps", type=int)
-    sub.add_argument("--eta-min", type=float)
-    sub.add_argument("--eta-max", type=float)
-    sub.add_argument("--eta-steps", type=int)
-    if refine:
-        sub.add_argument("--refine-iters", type=int)
-        sub.add_argument("--refine-shrink", type=float)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per entry of the key table, a flag per key, plus --config."""
     parser = argparse.ArgumentParser(
         prog="ghzprotect",
         description="Metrics and optimization for measurement-flanked "
         "amplitude-damping protection of entangled phase probes.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    metrics = commands.add_parser(
-        "metrics", help="evaluate one parameter point")
-    _add_model_flags(metrics)
-    metrics.add_argument("--r", type=float, help="damping strength")
-    metrics.add_argument("--theta", type=float, help="measurement strength angle")
-    metrics.add_argument("--eta", type=float, help="feedback rotation angle")
-    _add_io_flags(metrics)
-
-    optimize = commands.add_parser(
-        "optimize", help="maximize one metric on the angle grid")
-    _add_model_flags(optimize)
-    optimize.add_argument("--r", type=float, help="damping strength")
-    optimize.add_argument("--objective", choices=list(_CHOICE_KEYS["objective"]))
-    optimize.add_argument("--constraint", choices=list(_CHOICE_KEYS["constraint"]))
-    _add_grid_flags(optimize)
-    _add_io_flags(optimize)
-
-    sweep = commands.add_parser(
-        "sweep", help="repeat the maximization over a damping grid")
-    _add_model_flags(sweep)
-    sweep.add_argument("--objective", choices=list(_CHOICE_KEYS["objective"]))
-    sweep.add_argument("--constraint", choices=list(_CHOICE_KEYS["constraint"]))
-    sweep.add_argument("--r-from", type=float)
-    sweep.add_argument("--r-to", type=float)
-    sweep.add_argument("--r-step", type=float)
-    _add_grid_flags(sweep)
-    _add_io_flags(sweep)
-
-    pareto = commands.add_parser(
-        "pareto", help="fidelity/probability scatter over the angle grid")
-    _add_model_flags(pareto)
-    pareto.add_argument("--r", type=float, help="damping strength")
-    _add_grid_flags(pareto, refine=False)
-    _add_io_flags(pareto)
-
-    figure = commands.add_parser(
-        "figure", help="data files for the standard report figures")
-    figure.add_argument("--id", choices=list(FIGURE_IDS), help="figure identifier")
-    _add_input_flags(figure)
-    figure.add_argument("--r", type=float,
-                        help="damping strength (scatter figure only)")
-    _add_grid_flags(figure)
-    _add_io_flags(figure)
-
-    validate = commands.add_parser(
-        "validate", help="run the named self-check suite")
-    validate.add_argument("--seed", type=int, help="random stream seed")
-    _add_io_flags(validate, with_format=False)
-
+    for command, keys in _COMMAND_KEYS.items():
+        sub = commands.add_parser(command, help=_RUNNERS[command].__doc__)
+        sub.add_argument("--config", help="flat key=value configuration file")
+        for key in keys:
+            kind = _KEYS[key].kind
+            sub.add_argument(
+                "--" + key.replace("_", "-"),
+                metavar="{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None,
+                help=_KEYS[key].help,
+            )
     return parser
 
 
 def _flag_values(args: argparse.Namespace) -> dict:
-    skip = {"command", "config"}
+    """The keys given as flags, each checked as in a config file."""
     return {
-        key: value
-        for key, value in vars(args).items()
-        if key not in skip and value is not None
+        key: _convert(key, raw)
+        for key, raw in vars(args).items()
+        if key not in ("command", "config") and raw is not None
     }
 
 
@@ -683,8 +620,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
+        flag_values = _flag_values(args)
         file_values = parse_config_file(args.config) if args.config else {}
-        cfg = resolve_config(args.command, file_values, _flag_values(args))
+        cfg = resolve_config(args.command, file_values, flag_values)
         text, code = _RUNNERS[args.command](cfg)
         _write_output(cfg["output"], text)
         return code

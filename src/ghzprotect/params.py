@@ -191,14 +191,7 @@ def branch_classes(n: int) -> list[BranchClass]:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    classes = [BranchClass(k=k, multiplicity=math.comb(n, k)) for k in range(n + 1)]
-    total = sum(c.multiplicity for c in classes)
-    if total != 2**n:
-        # Unreachable with math.comb, but guards any future refactor.
-        raise ArithmeticError(
-            f"branch multiplicities sum to {total}, expected {2**n}"
-        )
-    return classes
+    return [BranchClass(k=k, multiplicity=math.comb(n, k)) for k in range(n + 1)]
 
 
 # Tolerance used by MetricsRow bound checks under the physical convention.

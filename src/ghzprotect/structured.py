@@ -30,9 +30,8 @@ from ghzprotect.params import (
     validate_params,
 )
 
-#: Most (class, point) values one QFI block holds: a grid splits over
-#: classes (a 181x181 grid takes one class at a time), a paired evaluation
-#: over points (a block holds whole points).
+#: Most (class, point) values one block of a paired QFI evaluation holds;
+#: a block holds whole points.  A grid takes one class at a time.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -330,11 +329,12 @@ def metrics_grid(
     Returns complex arrays (probability, fidelity, qfi) of the broadcast
     shape from the kernel of the scalar path, :func:`aggregate_complex`.
     Each probability and fidelity equals the scalar path's value exactly.
-    The QFI does on a one-point grid; on larger grids it can differ in
-    the last bits, since a grid adds its classes in order of k and the
-    scalar path sums each point's classes pairwise (see
-    :func:`_class_sum`).  Points where the scalar path raises
-    :class:`DegeneracyError` come back as NaN, so sweeps can skip them.
+    The QFI does on a one-point grid, which is the scalar path's paired
+    call of one point; on larger grids it can differ in the last bits,
+    since a grid adds its classes in order of k and the scalar path sums
+    each point's classes pairwise (see :func:`_class_sum`).  Points where
+    the scalar path raises :class:`DegeneracyError` come back as NaN, so
+    sweeps can skip them.
     The aggregates do not depend on ``phi0``.
     """
     return _aggregates(n, gamma, r, theta, eta, convention)
@@ -445,18 +445,18 @@ def _class_sum(
 ) -> np.ndarray:
     """The QFI of :func:`_aggregates`: its class sum over the full class axis ``k``.
 
-    On a grid, classes add in order of k, whatever the block size, so a
-    grid of two points or more has, row by row, the bits of its rows
-    evaluated alone.  A one-point grid sums its class axis pairwise, as
-    numpy does along a contiguous axis, so its last bits can differ.  With
-    one class a block, a class whose |A_k + B_k| a bound puts above both
-    cutoffs skips them (:func:`_clear_classes`); where |C|^2 = 0 its
-    weight is 0, so it adds 0 either way.
+    On a grid of two points or more, the classes add one at a time, in
+    order of k, so the grid has, row by row, the bits of its rows evaluated
+    alone.  A class whose |A_k + B_k| a bound puts above both cutoffs skips
+    them (:func:`_clear_classes`); where |C|^2 = 0 its weight is 0, so it
+    adds 0 either way.
 
     With ``paired``, the L points of ``shape`` = (L,) are independent:
     each sums its n+1 class terms in one pairwise reduction along a
-    contiguous class axis, the order of a one-point grid, so each has the
-    bits it has alone.  Blocks then split the points, never the classes.
+    contiguous class axis, so each has the bits it has alone.  Blocks then
+    split the points, never the classes.  A one-point call is always
+    paired (:func:`_aggregates`), so its last bits can differ from the
+    same point's on a larger grid.
     """
     c2, s2, u, q, vr_n, w, phase, degenerate = terms
     c_abs = math.sqrt(c2 * s2) * w**n  # |C|, the same for every class
@@ -486,27 +486,18 @@ def _class_sum(
             np.divide(weight[:, ps], d, out=d)
             qfi[ps] = rows.sum(axis=1)
     else:
-        block = max(1, _BLOCK_ELEMENTS // max(1, math.prod(shape)))
-        clear = (
-            _clear_classes(plus, minus, phase) if block == 1 else np.zeros(n + 1, bool)
-        )
+        clear = _clear_classes(plus, minus, phase)
         qfi = np.zeros(shape, dtype=np.complex128)
-        denom = np.empty((min(block, n + 1),) + shape, dtype=np.complex128)
-        for start in range(0, n + 1, block):
-            ks = slice(start, min(start + block, n + 1))
-            d = denom[: ks.stop - start]
-            np.multiply(plus[ks], phase[ks].real, out=d.real)
-            np.multiply(minus[ks], phase[ks].imag, out=d.imag)
-            if not clear[start]:
+        d = np.empty(shape, dtype=np.complex128)
+        for j in range(n + 1):
+            np.multiply(plus[j], phase[j].real, out=d.real)
+            np.multiply(minus[j], phase[j].imag, out=d.imag)
+            if not clear[j]:
                 size = np.abs(d)
                 d[size < drop_below] = np.inf  # a dropped class adds nothing
                 d[size < pole_below] = np.nan
-            np.divide(weight[ks], d, out=d)
-            if block == 1:
-                qfi += d[0]  # in place, without two grid temporaries
-            else:
-                d[0] += qfi  # the running sum heads the block, so classes add in order
-                qfi = d.sum(axis=0)
+            np.divide(weight[j], d, out=d)
+            qfi += d  # in place, without two grid temporaries
     if degenerate is not None:
         qfi[degenerate] = np.nan
     return qfi
@@ -555,8 +546,9 @@ def _aggregates(
     e^(2k-n) and B_k ~ s2 q^k u^(n-k) e^(n-2k), and |C|^2 = c2 s2 (uq)^n =
     |A_k| |B_k|.  Probability and fidelity collapse to O(1) powers
     (:func:`_closed_forms`).  The QFI sums mult 4 n^2 |C|^2 / (A+B) over
-    the classes (:func:`_class_sum`), in blocks along a k axis of at most
-    _BLOCK_ELEMENTS values.  Each class is a pole (NaN) or adds nothing by
+    the classes (:func:`_class_sum`): a class at a time on a grid, and in
+    blocks of whole points, of at most _BLOCK_ELEMENTS values, when paired.
+    Each class is a pole (NaN) or adds nothing by
     :func:`~ghzprotect.params.class_cutoffs`, the rule every engine uses.
 
     ``probability``, ``fidelity`` and ``qfi`` select the fields to
@@ -571,10 +563,14 @@ def _aggregates(
     With ``paired``, r, theta and eta are 1-D arrays of one length L, and
     point i is (r[i], theta[i], eta[i]): each point's QFI has the bits of
     its one-point call, whatever L (see :func:`_class_sum`).  This is the
-    scalar path, :func:`_paired_complex`.
+    scalar path, :func:`_paired_complex`.  A call whose broadcast shape
+    holds one point is the paired call of that point.
     """
     (r, theta, eta), out_shape = _broadcast(r, theta, eta)
     shape = out_shape or (1,)
+    if not paired and math.prod(shape) == 1:  # one point: the paired call of L = 1
+        r, theta, eta = (np.reshape(x, 1) for x in (r, theta, eta))
+        shape, paired = (1,), True
     classes = np.arange(n + 1) if qfi else np.array([n])
     k = classes.reshape(classes.shape + (1,) * len(shape))  # the class axis
 

@@ -536,8 +536,27 @@ def test_a_paired_batch_splits_over_points_and_keeps_the_bits(conv):
     assert _paired_outcomes(p, points, conv) == _scalar_outcomes(p, points, conv)
 
 
-#: Grid sizes of the field property: a single point, one block of all
-#: classes, and one class a block (above 2^14 points).
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 300),
+    gamma=st.floats(0.01, math.pi - 0.01),
+    point=st.tuples(_R, _ANGLE, _ROTATION),
+    shape=st.sampled_from([(), (1,), (1, 1)]),
+    conv=st.sampled_from(list(Convention)),
+)
+def test_a_one_point_call_of_any_shape_is_the_paired_call(n, gamma, point, shape, conv):
+    # A call whose broadcast shape holds one point is the paired call of
+    # that point: each field has its bits, signed zeros and NaN included.
+    r, theta, eta = point
+    one = _aggregates(n, gamma, r, np.full(shape, theta), np.full(shape, eta), conv)
+    paired = _aggregates(n, gamma, *(np.array([x]) for x in point), conv, paired=True)
+    for got, want in zip(one, paired):
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+
+#: Grid sizes of the field property: a single point, which is the paired
+#: call of one point, and two grids, which take one class a block.
 _GRID_SIZES = [(1, 1), (2, 4), (129, 130)]
 #: The (theta, eta) ranges of a first search grid.
 _FULL_RANGES = ((0.0, math.pi), (0.0, 2 * math.pi))
@@ -584,8 +603,8 @@ def test_each_computed_field_has_the_bits_of_the_full_grid(
                 assert got is None
 
 
-#: (grid size, least N, windows) of the block property: one class a block
-#: over the full ranges and over a narrow window, and 32 classes a block.
+#: (grid size, least N, windows) of the block property: a large grid over
+#: the full ranges and over a narrow window, and a 25x40 grid from N = 32.
 _BLOCK_CASES = [
     ((129, 130), 1, _FULL_RANGES),
     ((129, 130), 1, ((1.2, 1.5), (0.1, 0.3))),
@@ -602,13 +621,11 @@ _BLOCK_CASES = [
     conv=st.sampled_from(list(Convention)),
 )
 def test_a_class_per_block_sums_as_all_classes_in_one_block(case, data, gamma, r, conv):
-    # Above 2^14 points the class sum takes one class a block, in place,
-    # and skips the |A+B| masks of the classes a bound clears (in the
-    # narrow window, at small N); a 25x40 grid takes 32 classes a block; a
-    # row of 130 or 40 points takes all classes in one block and screens
-    # none.
-    # All add the classes in the same order, so the whole grid has, row by
-    # row, the bits of the rows evaluated one at a time.
+    # A grid of two points or more takes one class a block, in place, and
+    # skips the |A+B| masks of the classes a bound clears (in the narrow
+    # window, at small N).  The whole grid and each row of 130 or 40
+    # points add the classes in the same order, so the whole grid has,
+    # row by row, the bits of the rows evaluated one at a time.
     size, n_min, (theta_window, eta_window) = case
     n = data.draw(st.integers(n_min, 200), label="n")
     thetas = np.linspace(*theta_window, size[0])[:, None]
