@@ -144,13 +144,6 @@ _KEYS: dict[str, _Key] = {
     "output": _Key(str, "-", "output path, or - for stdout"),
 }
 
-# The trade-off scatter lives on the mirror-free half of the rotation
-# domain, so its default grid stops at pi.
-_COMMAND_DEFAULT_OVERRIDES: dict[str, dict] = {
-    "pareto": {"eta_max": math.pi},
-}
-
-
 def _convert(key: str, raw: str):
     """The value of ``key`` given as the text ``raw``, by a file or a flag."""
     kind = _KEYS[key].kind
@@ -209,8 +202,7 @@ def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
         if key != "command" and key not in keys:
             raise ConfigError(f"key {key!r} is not accepted by command {command!r}")
 
-    overrides = _COMMAND_DEFAULT_OVERRIDES.get(command, {})
-    cfg = {key: overrides.get(key, _KEYS[key].default) for key in keys}
+    cfg = {key: _KEYS[key].default for key in keys}
     cfg["command"] = command
     explicit = set()
     for layer in (file_values, flag_values):
@@ -220,9 +212,10 @@ def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
             cfg[key] = value
             explicit.add(key)
 
-    # The scatter figure reuses the trade-off scan, whose rotation grid
-    # must stop at pi; apply that default only when nothing set eta_max.
-    if command == "figure" and cfg.get("id") == "5" and "eta_max" not in explicit:
+    # The trade-off scan (pareto, and figure 5 that reuses it) lives on the
+    # mirror-free half of the rotation domain: its grid stops at pi unless
+    # something set eta_max.
+    if (command == "pareto" or cfg.get("id") == "5") and "eta_max" not in explicit:
         cfg["eta_max"] = math.pi
 
     if cfg.get("constraint") == _UNIT_PROB_CONSTRAINT:
@@ -577,6 +570,11 @@ _RUNNERS = {
 # --------------------------------------------------------------------------
 
 
+def _flag(key: str) -> str:
+    """The command-line flag of a configuration key."""
+    return "--" + key.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per entry of the key table, a flag per key, plus --config."""
     parser = argparse.ArgumentParser(
@@ -591,11 +589,34 @@ def build_parser() -> argparse.ArgumentParser:
         for key in keys:
             kind = _KEYS[key].kind
             sub.add_argument(
-                "--" + key.replace("_", "-"),
+                _flag(key),
                 metavar="{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None,
                 help=_KEYS[key].help,
             )
     return parser
+
+
+def _join_number_values(argv: list[str]) -> list[str]:
+    """``argv`` with each key flag and the negative number after it joined.
+
+    argparse reads a separate token such as ``-1e-3`` or ``-inf`` as an
+    option, which leaves the flag before it without a value.  Written
+    ``--phi0=-1e-3``, the token reaches :func:`_convert` as the flag's
+    value, as a file's does.
+    """
+    flags = {_flag(key) for keys in _COMMAND_KEYS.values() for key in keys}
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in flags and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
 
 
 def _flag_values(args: argparse.Namespace) -> dict:
@@ -615,7 +636,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(
+            _join_number_values(sys.argv[1:] if argv is None else list(argv))
+        )
     except SystemExit as exc:
         return int(exc.code or 0)
 

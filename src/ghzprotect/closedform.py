@@ -1,12 +1,12 @@
 """Closed-form aggregate formulas, evaluated exactly as written.
 
-Two evaluation modes exist on purpose.  ``VERBATIM`` computes the compact
-printed expressions for the total probability, fidelity, and Fisher
-information.  ``APPENDIX_AGGREGATED`` is the reference they are checked
-against: the structured engine's paper-convention aggregates, with
-binomial-collapsed probability and fidelity and the per-class sum for the
-information.  The two agree everywhere except for a known inconsistency in
-the Fisher aggregate's k=0 and k=N denominators, which is surfaced as a
+Each aggregate function computes one printed expression for the total
+probability, fidelity, or Fisher information, and nothing else.  The
+appendix aggregates they are checked against (binomial-collapsed
+probability and fidelity, the per-class sum for the information) are the
+structured engine's paper-convention numbers, which this module does not
+import.  The two agree everywhere except for a known inconsistency in the
+Fisher aggregate's k=0 and k=N denominators, which is surfaced as a
 measurable gap rather than papered over.
 """
 
@@ -19,12 +19,10 @@ from ghzprotect.params import (
     Convention,
     DegeneracyError,
     Engine,
-    FormulaVariant,
     MetricsRow,
     ProtocolParams,
     validate_params,
 )
-from ghzprotect.structured import aggregate_complex, aggregate_metrics
 
 _DEGENERACY_TOL = 1e-14
 
@@ -77,22 +75,14 @@ def class_probability(p: ProtocolParams, k: int) -> complex:
     )
 
 
-def prob_total(
-    p: ProtocolParams, variant: FormulaVariant = FormulaVariant.VERBATIM
-) -> complex:
+def prob_total(p: ProtocolParams) -> complex:
     """Record-summed total weight.
 
-    VERBATIM evaluates the binomial-collapsed product form
+    The binomial-collapsed product form
 
         ((r e^{i eta} + (1-r) e^{-i eta}) sin^2(theta/2)
-          + e^{i eta} cos^2(theta/2))^N;
-
-    APPENDIX_AGGREGATED takes the structured engine's total weight, the
-    binomial collapse of the per-class weights with multiplicities.
+          + e^{i eta} cos^2(theta/2))^N.
     """
-    if variant is FormulaVariant.APPENDIX_AGGREGATED:
-        total, _, _ = aggregate_complex(p, Convention.PAPER)
-        return total
     validate_params(p, max_qubits=1 << 20)
     u = math.cos(p.theta / 2.0) ** 2
     v = math.sin(p.theta / 2.0) ** 2
@@ -102,24 +92,17 @@ def prob_total(
     return pow_int(base, p.n_qubits)
 
 
-def fid_total(
-    p: ProtocolParams, variant: FormulaVariant = FormulaVariant.VERBATIM
-) -> complex:
+def fid_total(p: ProtocolParams) -> complex:
     """Record-averaged overlap with the input state.
 
-    VERBATIM evaluates the printed three-term numerator
+    The printed three-term numerator
 
         (|alpha|^4+|beta|^4) (u e^{i eta} + v (1-r) e^{-i eta})^N
       + 2 |alpha beta|^2 r^N e^{iN eta} v^N
       + 2^{N+1} |alpha beta|^2 (1-r)^{N/2} sin^N(theta) / 2^N
 
-    divided by the total weight; APPENDIX_AGGREGATED takes the structured
-    engine's fidelity, whose numerator is the binomial collapse of the
-    per-class elements.  Raises on vanishing total weight.
+    divided by the total weight.  Raises on vanishing total weight.
     """
-    if variant is FormulaVariant.APPENDIX_AGGREGATED:
-        _, fid, _ = aggregate_complex(p, Convention.PAPER)
-        return fid
     validate_params(p, max_qubits=1 << 20)
     n = p.n_qubits
     u = math.cos(p.theta / 2.0) ** 2
@@ -136,7 +119,7 @@ def fid_total(
         + 2.0 ** (n + 1) * ab2 * (1.0 - p.r) ** (n / 2.0)
         * math.sin(p.theta) ** n / 2.0**n
     )
-    total = prob_total(p, FormulaVariant.VERBATIM)
+    total = prob_total(p)
     if abs(total) < _DEGENERACY_TOL:
         raise DegeneracyError(
             f"total record weight |{total}| vanishes at theta={p.theta}, "
@@ -145,20 +128,15 @@ def fid_total(
     return numerator / total
 
 
-def qfi_total(
-    p: ProtocolParams, variant: FormulaVariant = FormulaVariant.VERBATIM
-) -> complex:
+def qfi_total(p: ProtocolParams) -> complex:
     """Record-averaged Fisher information about the collective phase.
 
-    VERBATIM evaluates the printed three-part sum whose k=0 and k=N
-    denominators read |alpha|^2 sin^{2N}(theta/2) (r(1-r))^N
-    + |beta|^2 cos^{2N}(theta/2) e^{iN eta} (and the mirror); these differ
-    from the per-class elements, producing a documented gap of
-    N^2 2^{1-N} against APPENDIX_AGGREGATED at r=0, eta=0, theta=pi/2.
+    Evaluates the printed three-part sum whose k=0 and k=N denominators
+    read |alpha|^2 sin^{2N}(theta/2) (r(1-r))^N + |beta|^2 cos^{2N}(theta/2)
+    e^{iN eta} (and the mirror); these differ from the per-class elements,
+    producing a documented gap of N^2 2^{1-N} against the structured
+    engine's paper-convention QFI at r=0, eta=0, theta=pi/2.
     """
-    if variant is FormulaVariant.APPENDIX_AGGREGATED:
-        _, _, qfi = aggregate_complex(p, Convention.PAPER)
-        return qfi
     validate_params(p, max_qubits=1 << 20)
     n = p.n_qubits
     u = math.cos(p.theta / 2.0) ** 2
@@ -229,21 +207,16 @@ def eta_opt_probability(r: float, theta: float) -> float:
     return w.real
 
 
-def metrics_closedform(
-    p: ProtocolParams, variant: FormulaVariant = FormulaVariant.VERBATIM
-) -> MetricsRow:
+def metrics_closedform(p: ProtocolParams) -> MetricsRow:
     """Realized metrics row from the closed forms (paper convention).
 
     The printed aggregates carry the two-sided rotation phases, so rows
     are tagged with the paper convention; use the structured engine for
-    physical-convention rows.  APPENDIX_AGGREGATED rows are the structured
-    engine's paper-convention rows and carry its tag.
+    physical-convention rows.
     """
-    if variant is FormulaVariant.APPENDIX_AGGREGATED:
-        return aggregate_metrics(p, Convention.PAPER)
-    prob = prob_total(p, variant)
-    fid = fid_total(p, variant)
-    qfi = qfi_total(p, variant)
+    prob = prob_total(p)
+    fid = fid_total(p)
+    qfi = qfi_total(p)
     residual = max(abs(prob.imag), abs(fid.imag), abs(qfi.imag))
     return MetricsRow(
         r=p.r,

@@ -68,19 +68,6 @@ class Engine(str, enum.Enum):
     CLOSEDFORM_VERBATIM = "closedform_verbatim"
 
 
-class FormulaVariant(str, enum.Enum):
-    """Closed-form evaluation mode.
-
-    VERBATIM evaluates the aggregate formulas exactly as printed;
-    APPENDIX_AGGREGATED gives the structured engine's paper-convention
-    aggregates, the per-class sums of the appendix.  The two differ only
-    in the known k=0 / k=N denominators of the QFI aggregate.
-    """
-
-    VERBATIM = "verbatim"
-    APPENDIX_AGGREGATED = "appendix_aggregated"
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Input parameters of one protection-protocol evaluation.

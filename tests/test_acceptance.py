@@ -12,12 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ghzprotect.closedform import (
-    eta_opt_probability,
-    metrics_closedform,
-    prob_total,
-    qfi_total,
-)
+from ghzprotect.closedform import eta_opt_probability, prob_total, qfi_total
 from ghzprotect.dense import (
     aggregate_metrics_dense,
     phase_imprint,
@@ -30,7 +25,7 @@ from ghzprotect.optimize import (
     maximize_fidelity_at_unit_probability,
     maximize_metric,
 )
-from ghzprotect.params import Convention, FormulaVariant, ProtocolParams
+from ghzprotect.params import Convention, ProtocolParams
 from ghzprotect.structured import (
     aggregate_complex,
     aggregate_metrics,
@@ -92,7 +87,6 @@ def test_01_identity_limit():
     for row in (
         aggregate_metrics(p10, Convention.PAPER),
         aggregate_metrics(p10, Convention.PHYSICAL),
-        metrics_closedform(p10, FormulaVariant.APPENDIX_AGGREGATED),
     ):
         assert abs(row.probability - 1.0) <= 1e-9
         assert abs(row.fidelity - 1.0) <= 1e-9
@@ -138,12 +132,12 @@ def test_03_closedform_reconciliation():
                         theta=float(theta), eta=float(eta), r=float(r),
                         extended_theta=True,
                     )
-                    verbatim = prob_total(p, FormulaVariant.VERBATIM)
+                    verbatim = prob_total(p)
                     total, _, _ = aggregate_complex(p, Convention.PAPER)
                     assert abs(verbatim - total) <= 1e-9
     p10 = identity_point(10)
-    verbatim_qfi = qfi_total(p10, FormulaVariant.VERBATIM).real
-    appendix_qfi = qfi_total(p10, FormulaVariant.APPENDIX_AGGREGATED).real
+    verbatim_qfi = qfi_total(p10).real
+    appendix_qfi = aggregate_complex(p10, Convention.PAPER)[2].real
     assert abs(verbatim_qfi - 100.1953125) <= 1e-9
     assert abs(appendix_qfi - 100.0) <= 1e-9
 

@@ -430,6 +430,19 @@ class TestParetoCommand:
         echoed = header_block(out)
         assert abs(float(echoed["eta_max"]) - PI) < 1e-15
 
+    @pytest.mark.parametrize("command, flags", [
+        ("pareto", {}), ("figure", {"id": "5"}),
+    ])
+    def test_tradeoff_scan_rotation_default_is_one_rule(self, command, flags):
+        assert cli.resolve_config(command, {}, flags)["eta_max"] == PI
+        for file_values, flag_values in (
+            ({"eta_max": 1.5}, flags), ({}, dict(flags, eta_max=1.5)),
+        ):
+            cfg = cli.resolve_config(command, file_values, flag_values)
+            assert cfg["eta_max"] == 1.5
+        other = cli.resolve_config("figure", {}, {"id": "2a"})
+        assert other["eta_max"] == 2 * PI
+
     def test_rotation_grid_beyond_pi_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, [
             "pareto", "--r", "0.5", "--eta-max", repr(2 * PI),
@@ -558,6 +571,26 @@ class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
 
+    def test_separate_number_token_is_the_flags_value(self, capsys):
+        # argparse alone reads "-1e-3" as an option and refuses the flag.
+        joined = run_cli(capsys, ["metrics", "--n", "4", "--phi0=-1e-3"])
+        separate = run_cli(capsys, ["metrics", "--n", "4", "--phi0", "-1e-3"])
+        assert joined[0] == 0
+        assert separate == joined
+
+    def test_separate_non_finite_token_is_refused_by_the_key_check(self, capsys):
+        code, out, err = run_cli(capsys, ["metrics", "--phi0", "-inf"])
+        assert (code, out) == (2, "")
+        assert err == "error: key 'phi0' must be finite, got '-inf'\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["metrics", "--phi0"], ["metrics", "--phi0", "--n", "4"]]
+    )
+    def test_flag_without_a_value_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "--phi0: expected one argument" in err
+
     def test_unknown_flag(self, capsys):
         assert main(["metrics", "--order", "3"]) == 2
 
@@ -565,8 +598,7 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
 
 
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
+_flag = cli._flag
 
 
 #: A text each kind of key accepts.
@@ -591,10 +623,10 @@ class TestOneDefinitionPerKey:
         # code and the same error line, whatever the key.
         config = tmp_path / "run.cfg"
         config.write_text(f"{key}={text}\n", encoding="utf-8")
-        # "--key=-inf", since argparse reads a lone "-inf" as an option
         flag_run = run_cli(capsys, [command, f"{_flag(key)}={text}"])
         file_run = run_cli(capsys, [command, "--config", str(config)])
         assert flag_run == file_run
+        assert run_cli(capsys, [command, _flag(key), text]) == file_run
         code, out, err = file_run
         assert (code, out) == (2, "")
         assert err.startswith(f"error: key {key!r} ")

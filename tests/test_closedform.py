@@ -1,17 +1,20 @@
 """Tests for the closed-form aggregate evaluators.
 
 Frozen values come from hand evaluation of the printed expressions; the
-appendix-aggregation mode is reconciled against both the verbatim forms
-and the per-class engine, including the one known point where the two
-formula families deliberately disagree.
+structured engine's paper-convention aggregates, the appendix's per-class
+sums, are reconciled against the verbatim forms, including the one known
+point where the two formula families deliberately disagree.
 """
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ghzprotect import closedform
 from ghzprotect.closedform import (
     class_probability,
     eta_opt_probability,
@@ -25,10 +28,9 @@ from ghzprotect.params import (
     Convention,
     DegeneracyError,
     Engine,
-    FormulaVariant,
     ProtocolParams,
 )
-from ghzprotect.structured import aggregate_metrics
+from ghzprotect.structured import aggregate_complex
 
 
 def make_params(**overrides):
@@ -85,14 +87,14 @@ class TestProbTotal:
         for _ in range(20):
             p = random_params(rng, 10, eta=0.0)
             np.testing.assert_allclose(
-                prob_total(p, FormulaVariant.VERBATIM), 1.0, atol=1e-12
+                prob_total(p), 1.0, atol=1e-12
             )
 
     def test_frozen_projective_value(self):
         # theta=0 leaves only the e^{i eta} population term: e^{iN eta}.
         p = make_params(theta=0.0, eta=0.3)
         np.testing.assert_allclose(
-            prob_total(p, FormulaVariant.VERBATIM), cmath.exp(3j), atol=1e-14
+            prob_total(p), cmath.exp(3j), atol=1e-14
         )
 
     def test_variants_agree(self):
@@ -100,8 +102,8 @@ class TestProbTotal:
         for _ in range(20):
             p = random_params(rng, 8)
             np.testing.assert_allclose(
-                prob_total(p, FormulaVariant.VERBATIM),
-                prob_total(p, FormulaVariant.APPENDIX_AGGREGATED),
+                prob_total(p),
+                aggregate_complex(p, Convention.PAPER)[0],
                 atol=1e-12,
             )
 
@@ -113,7 +115,7 @@ class TestProbTotal:
                 math.comb(9, k) * class_probability(p, k) for k in range(10)
             )
             np.testing.assert_allclose(
-                total, prob_total(p, FormulaVariant.VERBATIM), atol=1e-12,
+                total, prob_total(p), atol=1e-12,
                 err_msg="binomial collapse of class weights failed",
             )
 
@@ -121,13 +123,13 @@ class TestProbTotal:
 class TestFidTotal:
     def test_identity_point(self):
         np.testing.assert_allclose(
-            fid_total(make_params(), FormulaVariant.VERBATIM), 1.0, atol=1e-12
+            fid_total(make_params()), 1.0, atol=1e-12
         )
 
     def test_projective_no_damping(self):
         p = make_params(theta=0.0)
         np.testing.assert_allclose(
-            fid_total(p, FormulaVariant.VERBATIM), 0.5, atol=1e-14
+            fid_total(p), 0.5, atol=1e-14
         )
 
     def test_frozen_full_damping_value(self):
@@ -136,7 +138,7 @@ class TestFidTotal:
         # is exactly 2^{-10}.
         p = make_params(r=1.0)
         np.testing.assert_allclose(
-            fid_total(p, FormulaVariant.VERBATIM), 2.0**-10, atol=1e-15
+            fid_total(p), 2.0**-10, atol=1e-15
         )
 
     def test_variants_agree(self):
@@ -144,21 +146,21 @@ class TestFidTotal:
         for _ in range(20):
             p = random_params(rng, 7)
             np.testing.assert_allclose(
-                fid_total(p, FormulaVariant.VERBATIM),
-                fid_total(p, FormulaVariant.APPENDIX_AGGREGATED),
+                fid_total(p),
+                aggregate_complex(p, Convention.PAPER)[1],
                 atol=1e-11,
             )
 
     def test_degenerate_weight(self):
         p = make_params(n_qubits=2, eta=math.pi / 2)
         with pytest.raises(DegeneracyError, match="weight"):
-            fid_total(p, FormulaVariant.VERBATIM)
+            fid_total(p)
 
 
 class TestQfiTotal:
     def test_identity_point_appendix(self):
         np.testing.assert_allclose(
-            qfi_total(make_params(), FormulaVariant.APPENDIX_AGGREGATED),
+            aggregate_complex(make_params(), Convention.PAPER)[2],
             100.0,
             atol=1e-10,
         )
@@ -167,14 +169,14 @@ class TestQfiTotal:
         # The printed k=0 and k=N denominators lose the damping phase
         # terms; at the identity point that inflates the aggregate by
         # exactly N^2 2^{1-N}.
-        got = qfi_total(make_params(), FormulaVariant.VERBATIM)
+        got = qfi_total(make_params())
         np.testing.assert_allclose(got, 100.1953125, atol=1e-10)
-        gap = got - qfi_total(make_params(), FormulaVariant.APPENDIX_AGGREGATED)
+        gap = got - aggregate_complex(make_params(), Convention.PAPER)[2]
         np.testing.assert_allclose(gap, 100.0 * 2.0**-9, atol=1e-10)
 
     def test_full_damping_kills_information(self):
-        for variant in FormulaVariant:
-            assert qfi_total(make_params(r=1.0), variant) == 0.0
+        assert qfi_total(make_params(r=1.0)) == 0.0
+        assert aggregate_complex(make_params(r=1.0), Convention.PAPER)[2] == 0.0
 
     def test_gap_is_confined_to_edge_classes(self):
         # Only the k=0 / k=N denominators differ between the families.  At
@@ -184,8 +186,8 @@ class TestQfiTotal:
         n = 10
         for _ in range(10):
             p = random_params(rng, n, theta=math.pi / 2, r=0.0, eta=0.0)
-            verb = qfi_total(p, FormulaVariant.VERBATIM)
-            agg = qfi_total(p, FormulaVariant.APPENDIX_AGGREGATED)
+            verb = qfi_total(p)
+            agg = aggregate_complex(p, Convention.PAPER)[2]
             ab2 = abs(p.alpha * p.beta) ** 2
             expected_gap = 4.0 * n**2 * 2.0**-n * (1.0 - 2.0 * ab2)
             np.testing.assert_allclose(
@@ -214,28 +216,20 @@ class TestEtaOptProbability:
 
 class TestMetricsClosedform:
     def test_row_tags(self):
-        row = metrics_closedform(make_params(), FormulaVariant.VERBATIM)
+        row = metrics_closedform(make_params())
         assert row.engine is Engine.CLOSEDFORM_VERBATIM
         assert row.convention is Convention.PAPER
-        row = metrics_closedform(make_params(), FormulaVariant.APPENDIX_AGGREGATED)
-        assert row.engine is Engine.STRUCTURED
-        assert row.convention is Convention.PAPER
 
-    def test_matches_structured_paper_aggregates(self):
-        rng = np.random.default_rng(107)
-        for _ in range(20):
-            p = random_params(rng, int(rng.integers(1, 40)))
-            assert metrics_closedform(
-                p, FormulaVariant.APPENDIX_AGGREGATED
-            ) == aggregate_metrics(p, Convention.PAPER)
 
-    def test_degenerate_points_raise_like_structured(self):
-        rng = np.random.default_rng(108)
-        for n in range(1, 9):
-            eta = float(rng.choice([math.pi / 2, 3 * math.pi / 2]))
-            p = random_params(rng, n, theta=math.pi / 2, r=0.0, eta=eta)
-            with pytest.raises(DegeneracyError) as want:
-                aggregate_metrics(p, Convention.PAPER)
-            with pytest.raises(DegeneracyError) as got:
-                metrics_closedform(p, FormulaVariant.APPENDIX_AGGREGATED)
-            assert str(got.value) == str(want.value)
+def test_closedform_imports_no_engine():
+    # The printed formulas are what the engines are checked against, so
+    # they evaluate on their own.
+    tree = ast.parse(Path(closedform.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    assert not names & {"structured", "dense", "optimize"}

@@ -1,4 +1,4 @@
-"""Tests for the batched checks of the self-validation suite.
+"""Tests for the self-validation suite's check list and its grid checks.
 
 Two checks evaluate the structured kernel once over a grid instead of once
 per point.  Their reports must read as the per-point loops they replaced
@@ -6,6 +6,7 @@ did, on a pass and on a failure, and the kernel calls are counted.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from ghzprotect.closedform import prob_total
 from ghzprotect.params import (
     Convention,
     DegeneracyError,
-    FormulaVariant,
     ProtocolParams,
 )
 from ghzprotect.structured import aggregate_complex, metrics_grid
@@ -89,14 +89,14 @@ class TestClosedformWeightCheck:
     ):
         offset = {grid_point(*first): 1e-6, grid_point(*second): 2e-6}
 
-        def offset_prob_total(p, variant):
-            return prob_total(p, variant) + offset.get(p, 0.0)
+        def offset_prob_total(p):
+            return prob_total(p) + offset.get(p, 0.0)
 
         monkeypatch.setattr(validate, "prob_total", offset_prob_total)
         # The per-point loop's text, from the scalar path at the first point.
         n, i, j, m = first
         p = grid_point(*first)
-        verbatim = prob_total(p, FormulaVariant.VERBATIM) + 1e-6
+        verbatim = prob_total(p) + 1e-6
         total, _, _ = aggregate_complex(p, Convention.PAPER)
         expected = (
             f"n={n} theta={THETAS[i]!r} eta={ETAS[j]!r} r={RS[m]!r} "
@@ -163,3 +163,21 @@ class TestUnitWeightCheck:
         worst = float(np.max(np.abs(prob_c + offset[37] - 1.0)))
         expected = f"r={r!r} worst|P-1|={worst}"
         assert self.check(np.random.default_rng(0)) == (False, expected)
+
+
+def test_check_names_match_the_reference_list():
+    # The benchmark's crosscheck workload fails on any name missing from
+    # this list, so the report keeps every name, in order.
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
+    names = (reference / "validate_checks.txt").read_text(encoding="utf-8").split()
+    assert [result.name for result in validate.run_validation(7)] == names
+
+
+def test_scalar_vs_grid_check_evaluates_grids_of_two_points_or_more(monkeypatch):
+    # A one-point grid is the scalar path's own call, so comparing the two
+    # would compare a call with itself.
+    calls = []
+    monkeypatch.setattr(validate, "metrics_grid", counting(calls, validate.metrics_grid))
+    assert validate._check_scalar_vs_grid(np.random.default_rng(7)) == (True, "")
+    assert len(calls) == 20
+    assert all(np.broadcast(theta, eta).size >= 2 for *_, theta, eta, _ in calls)
