@@ -66,7 +66,7 @@ def main() -> None:
     worst = 0.0
     for cls in branch_classes(N_QUBITS):
         pattern = "0" * cls.k + "1" * (N_QUBITS - cls.k)
-        dense_rho = run_protocol_branch(p, pattern, convention).state.rho
+        dense_rho = run_protocol_branch(p, pattern, convention).rho
         exported = state_export(branch_elements(p, cls.k, convention), N_QUBITS)
         worst = max(worst, float(np.max(np.abs(dense_rho - exported))))
     print(f"largest |dense - structured| state entry: {worst:.3e}")

@@ -42,7 +42,7 @@ from .optimize import (
     ConstraintInfeasibleError,
     GridSpec,
     Objective,
-    _check_engine_convention,
+    _check_engine,
     _point_row,
     maximize_fidelity_at_unit_probability,
     maximize_metric,
@@ -354,7 +354,7 @@ def _run_metrics(cfg: dict) -> tuple[str, int]:
         r=cfg["r"],
         extended_theta=True,
     )
-    _check_engine_convention(engine, convention)
+    _check_engine(p, engine, convention)
     row = _point_row(p, engine, convention)
     cells = [
         row.engine.value, row.convention.value, row.r, row.theta, row.eta,

@@ -214,18 +214,8 @@ def metrics_closedform(p: ProtocolParams) -> MetricsRow:
     are tagged with the paper convention; use the structured engine for
     physical-convention rows.
     """
-    prob = prob_total(p)
-    fid = fid_total(p)
-    qfi = qfi_total(p)
-    residual = max(abs(prob.imag), abs(fid.imag), abs(qfi.imag))
-    return MetricsRow(
-        r=p.r,
-        theta=p.theta,
-        eta=p.eta,
-        probability=prob.real,
-        fidelity=fid.real,
-        qfi=qfi.real,
-        imag_residual=residual,
-        convention=Convention.PAPER,
-        engine=Engine.CLOSEDFORM_VERBATIM,
+    aggregates = (prob_total(p), fid_total(p), qfi_total(p))
+    return MetricsRow.realized(
+        (p.r, p.theta, p.eta), aggregates, Convention.PAPER,
+        Engine.CLOSEDFORM_VERBATIM,
     )

@@ -39,40 +39,17 @@ DENSE_MAX_QUBITS = 6
 
 
 @dataclass(frozen=True)
-class DenseState:
-    """A density matrix together with its register size."""
-
-    n_qubits: int
-    rho: np.ndarray
-
-    def __post_init__(self) -> None:
-        dim = 2**self.n_qubits
-        if self.rho.shape != (dim, dim):
-            raise ValueError(
-                f"state for n_qubits={self.n_qubits} must be {dim}x{dim}, "
-                f"got shape {self.rho.shape}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.rho))
-
-
-@dataclass(frozen=True)
 class BranchRun:
     """Outcome of the protocol conditioned on one measurement record.
 
-    ``state`` is the unnormalized branch operator: its trace equals
-    ``probability``.  Under the two-sided-multiplication convention the
-    trace (and hence the probability) is complex for eta != 0.
+    ``rho`` is the unnormalized 2^N x 2^N branch operator: its trace
+    equals ``probability``.  Under the two-sided-multiplication convention
+    the trace (and hence the probability) is complex for eta != 0.
     """
 
     pattern: str
     probability: complex
-    state: DenseState
+    rho: np.ndarray
 
 
 def ghz_vector(n: int, gamma: float, phi0: float) -> np.ndarray:
@@ -87,14 +64,14 @@ def ghz_vector(n: int, gamma: float, phi0: float) -> np.ndarray:
     return psi
 
 
-def ghz_state(n: int, gamma: float, phi0: float) -> DenseState:
-    """Density matrix of the generalized GHZ input state.
+def ghz_state(n: int, gamma: float, phi0: float) -> np.ndarray:
+    """Density matrix of the generalized GHZ input state, 2^n x 2^n.
 
     Only the four corner elements are nonzero:
     |alpha|^2, |beta|^2 on the diagonal and alpha beta* off-diagonal.
     """
     psi = ghz_vector(n, gamma, phi0)
-    return DenseState(n_qubits=n, rho=np.outer(psi, psi.conj()))
+    return np.outer(psi, psi.conj())
 
 
 def _lift(op: np.ndarray, site: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -177,10 +154,7 @@ def _branch(
         rho = rot @ rho @ rot.conj().T
     else:
         rho = rot @ rho @ rot
-    prob = complex(np.trace(rho))
-    return BranchRun(
-        pattern=pattern, probability=prob, state=DenseState(len(pattern), rho)
-    )
+    return BranchRun(pattern=pattern, probability=complex(np.trace(rho)), rho=rho)
 
 
 def run_protocol_branch(
@@ -193,14 +167,14 @@ def run_protocol_branch(
     conditional rotation T_o.  The rotation is applied as T rho T^dag
     (PHYSICAL) or T rho T (PAPER).
 
-    Returns the unnormalized branch state; its trace is the branch
-    probability.
+    Returns the unnormalized branch state as ``BranchRun.rho``; its trace
+    is the branch probability.
     """
     validate_params(p, max_qubits=DENSE_MAX_QUBITS)
     n = p.n_qubits
     bits = _pattern_bits(pattern, n)
 
-    rho = ghz_state(n, p.gamma, p.phi0).rho
+    rho = ghz_state(n, p.gamma, p.phi0)
     rot = np.ones(1, dtype=np.complex128)
     damping = adc_kraus(p.r)
     for site, o in enumerate(bits):
@@ -230,7 +204,7 @@ def run_all_branches(
     rotation = [np.diag(rotation_op(o, p.eta)) for o in (0, 1)]
 
     branches = []
-    stack = [("", ghz_state(n, p.gamma, p.phi0).rho, np.ones(1, dtype=np.complex128))]
+    stack = [("", ghz_state(n, p.gamma, p.phi0), np.ones(1, dtype=np.complex128))]
     while stack:
         prefix, rho, rot = stack.pop()
         site = len(prefix)
@@ -245,11 +219,12 @@ def run_all_branches(
 
 def run_protocol_average(
     p: ProtocolParams, convention: Convention
-) -> tuple[DenseState, complex]:
+) -> tuple[np.ndarray, complex]:
     """Record-averaged output state and the total success weight.
 
     Sums the unnormalized branch states over every record and renormalizes
-    by the total trace.  Raises :class:`DegeneracyError` when the total
+    by the total trace; returns ``(rho, total)``, ``rho`` a 2^N x 2^N
+    matrix of unit trace.  Raises :class:`DegeneracyError` when the total
     weight vanishes (every branch killed, e.g. projective measurement onto
     decayed components), since no average state exists there.
     """
@@ -261,8 +236,7 @@ def run_protocol_average(
             f"theta={p.theta}, eta={p.eta}, r={p.r}; "
             f"the averaged state is undefined"
         )
-    rho = sum(b.state.rho for b in branches) / total
-    return DenseState(p.n_qubits, rho), total
+    return sum(b.rho for b in branches) / total, total
 
 
 def phase_imprint(rho: np.ndarray, delta: float) -> np.ndarray:
@@ -359,12 +333,11 @@ def aggregate_metrics_dense(
         )
 
     psi = ghz_vector(n, p.gamma, p.phi0)
-    fid_num = sum(complex(psi.conj() @ b.state.rho @ psi) for b in branches)
-    fid = fid_num / p_total
+    fid_num = sum(complex(psi.conj() @ b.rho @ psi) for b in branches)
 
     qfi = 0.0 + 0.0j
     for b in branches:
-        a, bb, c = _corner_elements(b.state.rho)
+        a, bb, c = _corner_elements(b.rho)
         denom = a + bb
         pole_below, drop_below = class_cutoffs(abs(c))
         if abs(denom) < pole_below:
@@ -375,17 +348,9 @@ def aggregate_metrics_dense(
         if abs(denom) >= drop_below:
             qfi += 4.0 * abs(c) ** 2 * n**2 / denom
 
-    residual = max(abs(p_total.imag), abs(fid.imag), abs(qfi.imag))
-    return MetricsRow(
-        r=p.r,
-        theta=p.theta,
-        eta=p.eta,
-        probability=float(p_total.real),
-        fidelity=float(fid.real),
-        qfi=float(qfi.real),
-        imag_residual=float(residual),
-        convention=convention,
-        engine=Engine.DENSE,
+    return MetricsRow.realized(
+        (p.r, p.theta, p.eta), (p_total, fid_num / p_total, qfi), convention,
+        Engine.DENSE,
     )
 
 

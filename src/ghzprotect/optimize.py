@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .closedform import metrics_closedform
-from .dense import aggregate_metrics_dense, do_nothing_baseline
+from .dense import DENSE_MAX_QUBITS, aggregate_metrics_dense, do_nothing_baseline
 from .params import (
     TWO_PI,
     Convention,
@@ -31,13 +31,9 @@ from .params import (
     Engine,
     MetricsRow,
     ProtocolParams,
+    validate_params,
 )
-from .structured import (
-    _aggregates,
-    _metrics_row,
-    _paired_complex,
-    aggregate_metrics,
-)
+from .structured import _aggregates, _paired_complex, aggregate_metrics
 
 __all__ = [
     "Objective",
@@ -174,12 +170,25 @@ def _check_r(r: float) -> float:
     return r
 
 
-def _check_engine_convention(engine: Engine, convention: Convention) -> None:
+def _check_engine(
+    p_base: ProtocolParams, engine: Engine, convention: Convention
+) -> None:
+    """Refuse, before any grid, what the engine's scalar path would refuse.
+
+    That is the closed-form engine under the physical convention, and a
+    register above the structured or dense engine's qubit ceiling: the
+    structured grids never reach the scalar path's check.  The closed-form
+    scalar path checks its own ceiling at the first point.
+    """
     if engine is Engine.CLOSEDFORM_VERBATIM and convention is not Convention.PAPER:
         raise ValueError(
             "the closed-form engine evaluates the two-sided rotation algebra "
             "and only supports the paper convention"
         )
+    if engine is Engine.STRUCTURED:
+        validate_params(p_base)
+    elif engine is Engine.DENSE:
+        validate_params(p_base, max_qubits=DENSE_MAX_QUBITS)
 
 
 def _point_row(
@@ -363,7 +372,7 @@ def _search(
     if engine is Engine.STRUCTURED:
         paired = _paired_complex(p_base, stars, convention)
         companions = (
-            _metrics_row(star, aggregates, convention)
+            MetricsRow.realized(star, aggregates, convention, engine)
             for star, aggregates in zip(stars, paired)
         )
     else:
@@ -425,18 +434,20 @@ def maximize_metric(
     """Maximize one metric over the (theta, eta) grid at decay level ``r``.
 
     ``p_base`` supplies the register size and input amplitudes; its own
-    angles and decay probability are ignored.  Grid points whose metrics
-    are numerically undefined are skipped; if no point at all is
-    evaluable a :class:`DegeneracyError` propagates.  The structured
-    engine computes on the grid only the field the objective reads: the
-    QFI class sum only for ``qfi``, the fidelity only for ``fidelity``.
+    angles and decay probability are ignored; a register above the
+    engine's qubit ceiling raises ``ValueError`` before any grid is
+    evaluated.  Grid points whose metrics are numerically undefined are
+    skipped; if no point at all is evaluable a :class:`DegeneracyError`
+    propagates.  The structured engine computes on the grid only the
+    field the objective reads: the QFI class sum only for ``qfi``, the
+    fidelity only for ``fidelity``.
     Under the physical convention, where neither probability nor QFI
     depends on the rotation angle, it searches those two at the single
     angle ``eta_range[0]``, which the full axis would also return.
     """
     objective = Objective(objective)
     r = _check_r(r)
-    _check_engine_convention(engine, convention)
+    _check_engine(p_base, engine, convention)
     return _search([r], p_base, grid, engine, convention, objective)[0]
 
 
@@ -458,7 +469,7 @@ def maximize_fidelity_at_unit_probability(
     :func:`sweep_r` runs for a whole decay grid at once, with one level.
     """
     r = _check_r(r)
-    _check_engine_convention(engine, convention)
+    _check_engine(p_base, engine, convention)
     return _search(
         [r], p_base, grid, engine, convention, Objective.FIDELITY, unit_probability=True
     )[0]
@@ -481,7 +492,7 @@ def pareto_scan(
     carries the no-protection fidelity as the reference line.
     """
     r = _check_r(r)
-    _check_engine_convention(engine, convention)
+    _check_engine(p_base, engine, convention)
     for name, rng in (("theta_range", grid.theta_range), ("eta_range", grid.eta_range)):
         if rng[0] < 0.0 or rng[1] > math.pi:
             raise ValueError(f"pareto scan requires {name} within [0, pi], got {rng}")
@@ -536,9 +547,9 @@ def sweep_r(
         raise ValueError("r_grid must contain at least one value")
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_grid must be strictly increasing")
+    _check_engine(p_base, engine, convention)
 
     if mode == UNIT_PROBABILITY:
-        _check_engine_convention(engine, convention)
         results = _search(
             rs, p_base, grid, engine, convention, Objective.FIDELITY,
             unit_probability=True,

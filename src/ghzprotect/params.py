@@ -227,3 +227,31 @@ class MetricsRow:
                     f"qfi {self.qfi} below 0 (tolerance {_BOUND_TOL}) "
                     f"under the physical convention"
                 )
+
+    @classmethod
+    def realized(
+        cls,
+        point: tuple[float, float, float],
+        aggregates: tuple[complex, complex, complex],
+        convention: Convention,
+        engine: Engine,
+    ) -> MetricsRow:
+        """The row of one (r, theta, eta) point's complex aggregates.
+
+        ``aggregates`` is (probability, fidelity, qfi); the metrics are
+        their real parts, and the largest discarded imaginary magnitude is
+        ``imag_residual``.
+        """
+        r, theta, eta = point
+        total, fid, qfi = aggregates
+        return cls(
+            r=r,
+            theta=theta,
+            eta=eta,
+            probability=total.real,
+            fidelity=fid.real,
+            qfi=qfi.real,
+            imag_residual=max(abs(z.imag) for z in aggregates),
+            convention=convention,
+            engine=engine,
+        )

@@ -237,31 +237,6 @@ def _paired_complex(
         yield total, fid, qfi
 
 
-def _metrics_row(
-    point: tuple[float, float, float],
-    aggregates: tuple[complex, complex, complex],
-    convention: Convention,
-) -> MetricsRow:
-    """The realized row of one (r, theta, eta) point's complex aggregates.
-
-    The metrics are the real parts; the largest discarded imaginary
-    magnitude is reported as ``imag_residual``.
-    """
-    r, theta, eta = point
-    total, fid, qfi = aggregates
-    return MetricsRow(
-        r=r,
-        theta=theta,
-        eta=eta,
-        probability=total.real,
-        fidelity=fid.real,
-        qfi=qfi.real,
-        imag_residual=max(abs(z.imag) for z in aggregates),
-        convention=convention,
-        engine=Engine.STRUCTURED,
-    )
-
-
 def aggregate_complex(
     p: ProtocolParams,
     convention: Convention,
@@ -285,12 +260,13 @@ def aggregate_metrics(
 ) -> MetricsRow:
     """Record-averaged probability, fidelity, and Fisher information.
 
-    Realizes the complex aggregates of :func:`aggregate_complex` via their
-    real parts; the largest discarded imaginary magnitude is reported as
-    ``imag_residual``.
+    The complex aggregates of :func:`aggregate_complex`, realized by
+    :meth:`~ghzprotect.params.MetricsRow.realized`.
     """
     aggregates = aggregate_complex(p, convention, max_qubits=max_qubits)
-    return _metrics_row((p.r, p.theta, p.eta), aggregates, convention)
+    return MetricsRow.realized(
+        (p.r, p.theta, p.eta), aggregates, convention, Engine.STRUCTURED
+    )
 
 
 def state_export(elements: BranchElements, n: int) -> np.ndarray:

@@ -186,7 +186,7 @@ def _check_record_states_positive(rng) -> tuple[bool, str]:
     for n in (1, 2, 3):
         p = _draw_params(rng, n)
         for branch in run_all_branches(p, Convention.PHYSICAL):
-            eigmin = float(np.min(np.linalg.eigvalsh(branch.state.rho)))
+            eigmin = float(np.min(np.linalg.eigvalsh(branch.rho)))
             if eigmin < -1e-10:
                 return _fail(f"params={p} pattern={branch.pattern} eigmin={eigmin}")
     return _ok()
@@ -198,7 +198,7 @@ def _check_dense_vs_structured_states(rng) -> tuple[bool, str]:
             p = _draw_params(rng, n)
             for k in range(n + 1):
                 pattern = "0" * k + "1" * (n - k)
-                dense_rho = run_protocol_branch(p, pattern, convention).state.rho
+                dense_rho = run_protocol_branch(p, pattern, convention).rho
                 exported = state_export(branch_elements(p, k, convention), n)
                 if np.max(np.abs(dense_rho - exported)) > 1e-10:
                     return _fail(f"params={p} convention={convention.value} k={k}")
@@ -323,7 +323,7 @@ def _check_class_qfi_vs_spectral(rng) -> tuple[bool, str]:
         expected = branch_qfi(elements, n).real
         pattern = "0" * k + "1" * (n - k)
         run = run_protocol_branch(p, pattern, Convention.PHYSICAL)
-        rho_hat = run.state.rho / run.probability.real
+        rho_hat = run.rho / run.probability.real
 
         def family(phi: float) -> np.ndarray:
             return phase_imprint(rho_hat, phi)
@@ -405,7 +405,7 @@ def _check_baseline_vs_dense_damping(rng) -> tuple[bool, str]:
         p = _draw_params(rng, n)
         row = do_nothing_baseline(p)
         e0, e1 = adc_kraus(p.r)
-        rho = ghz_state(n, p.gamma, p.phi0).rho
+        rho = ghz_state(n, p.gamma, p.phi0)
         for site in range(n):
             ops = [
                 np.kron(
@@ -423,7 +423,7 @@ def _check_baseline_vs_dense_damping(rng) -> tuple[bool, str]:
 
 def _check_pure_state_information_bound(rng) -> tuple[bool, str]:
     for n in (1, 2, 3):
-        rho = ghz_state(n, math.pi / 2, 0.3).rho
+        rho = ghz_state(n, math.pi / 2, 0.3)
 
         def family(phi: float) -> np.ndarray:
             return phase_imprint(rho, phi)

@@ -108,7 +108,7 @@ def test_02_cross_engine_equality():
             for convention in (Convention.PAPER, Convention.PHYSICAL):
                 for k in range(n + 1):
                     pattern = "0" * k + "1" * (n - k)
-                    dense_rho = run_protocol_branch(p, pattern, convention).state.rho
+                    dense_rho = run_protocol_branch(p, pattern, convention).rho
                     exported = state_export(branch_elements(p, k, convention), n)
                     assert np.max(np.abs(dense_rho - exported)) <= 1e-10
                 dense_row = aggregate_metrics_dense(p, convention)
@@ -155,7 +155,7 @@ def test_04_per_class_information_vs_spectral():
             continue
         expected = branch_qfi(elements, n).real
         run = run_protocol_branch(p, "0" * k + "1" * (n - k), Convention.PHYSICAL)
-        rho_hat = run.state.rho / run.probability.real
+        rho_hat = run.rho / run.probability.real
 
         def family(phi: float) -> np.ndarray:
             return phase_imprint(rho_hat, phi)

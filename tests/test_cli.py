@@ -594,6 +594,21 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert main(["metrics", "--order", "3"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        # 1100 qubits overflowed the binomial weights in the first grid.
+        ["optimize", "--n", "1100", "--theta-steps", "3", "--eta-steps", "3",
+         "--refine-iters", "0"],
+        ["optimize", "--n", "500"],
+        ["sweep", "--n", "65"],
+        ["pareto", "--n", "65"],
+        ["figure", "--id", "5", "--n", "100"],
+    ])
+    def test_searches_refuse_a_register_above_the_ceiling(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        n = argv[argv.index("--n") + 1]
+        assert err == f"error: n_qubits={n} exceeds the configured maximum 64\n"
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
 

@@ -19,7 +19,6 @@ from ghzprotect import dense
 from ghzprotect.dense import (
     DENSE_MAX_QUBITS,
     BranchRun,
-    DenseState,
     aggregate_metrics_dense,
     do_nothing_baseline,
     fidelity_pure,
@@ -71,15 +70,14 @@ def permute_qubits(rho, perm):
 
 class TestGhzState:
     def test_single_qubit_frozen(self):
-        state = ghz_state(1, math.pi / 2, math.pi / 2)
+        rho = ghz_state(1, math.pi / 2, math.pi / 2)
         expected = np.array(
             [[0.5, -0.5j], [0.5j, 0.5]], dtype=np.complex128
         )
-        np.testing.assert_allclose(state.rho, expected, atol=1e-15)
+        np.testing.assert_allclose(rho, expected, atol=1e-15)
 
     def test_corners_only(self):
-        state = ghz_state(3, 1.1, 0.4)
-        rho = state.rho.copy()
+        rho = ghz_state(3, 1.1, 0.4)
         alpha = math.cos(0.55)
         beta = math.sin(0.55) * np.exp(0.4j)
         np.testing.assert_allclose(rho[0, 0], abs(alpha) ** 2, atol=1e-15)
@@ -90,19 +88,16 @@ class TestGhzState:
         np.testing.assert_allclose(rho, 0.0, atol=1e-15)
 
     def test_unit_trace_and_purity(self):
-        state = ghz_state(4, 2.0, 1.3)
-        np.testing.assert_allclose(state.trace(), 1.0, atol=1e-14)
-        np.testing.assert_allclose(state.rho @ state.rho, state.rho, atol=1e-14)
+        rho = ghz_state(4, 2.0, 1.3)
+        assert rho.shape == (16, 16)
+        np.testing.assert_allclose(np.trace(rho), 1.0, atol=1e-14)
+        np.testing.assert_allclose(rho @ rho, rho, atol=1e-14)
 
     def test_vector_matches_outer_product(self):
         psi = ghz_vector(2, 1.0, 0.5)
         np.testing.assert_allclose(
-            ghz_state(2, 1.0, 0.5).rho, np.outer(psi, psi.conj()), atol=1e-15
+            ghz_state(2, 1.0, 0.5), np.outer(psi, psi.conj()), atol=1e-15
         )
-
-    def test_dense_state_shape_validation(self):
-        with pytest.raises(ValueError, match="must be"):
-            DenseState(n_qubits=2, rho=np.eye(3, dtype=np.complex128))
 
 
 class TestRunProtocolBranch:
@@ -118,7 +113,7 @@ class TestRunProtocolBranch:
         expected = np.array(
             [[3.0 / 8.0, corner], [corner, 1.0 / 8.0]], dtype=np.complex128
         )
-        np.testing.assert_allclose(run.state.rho, expected, atol=1e-15)
+        np.testing.assert_allclose(run.rho, expected, atol=1e-15)
         np.testing.assert_allclose(run.probability, 0.5, atol=1e-15)
 
     def test_state_trace_equals_probability(self):
@@ -128,7 +123,7 @@ class TestRunProtocolBranch:
             for conv in Convention:
                 run = run_protocol_branch(p, "01", conv)
                 np.testing.assert_allclose(
-                    run.state.trace(), run.probability, atol=1e-14
+                    np.trace(run.rho), run.probability, atol=1e-14
                 )
 
     def test_branch_probabilities_sum_to_one_physical(self):
@@ -148,7 +143,7 @@ class TestRunProtocolBranch:
         for _ in range(10):
             p = random_params(rng, 3)
             for b in run_all_branches(p, Convention.PHYSICAL):
-                eigs = np.linalg.eigvalsh(b.state.rho)
+                eigs = np.linalg.eigvalsh(b.rho)
                 assert eigs.min() >= -1e-12, (
                     f"branch {b.pattern} not PSD: min eig {eigs.min()}"
                 )
@@ -179,8 +174,8 @@ class TestRunProtocolBranch:
                     other.probability, base.probability, atol=1e-12
                 )
                 np.testing.assert_allclose(
-                    permute_qubits(other.state.rho, perm),
-                    base.state.rho,
+                    permute_qubits(other.rho, perm),
+                    base.rho,
                     atol=1e-12,
                     err_msg=f"record {pattern} is not a relabeling of 011",
                 )
@@ -212,7 +207,7 @@ def record_on_its_own(p, pattern, convention):
     """
     n = p.n_qubits
     bits = [int(ch) for ch in pattern]
-    rho = ghz_state(n, p.gamma, p.phi0).rho
+    rho = ghz_state(n, p.gamma, p.phi0)
     e0, e1 = adc_kraus(p.r)
     for site, o in enumerate(bits):
         m = weak_meas_op(o, p.theta)
@@ -229,7 +224,7 @@ def record_on_its_own(p, pattern, convention):
         rho = rot @ rho @ rot.conj().T
     else:
         rho = rot @ rho @ rot
-    return BranchRun(pattern, complex(np.trace(rho)), DenseState(n, rho))
+    return BranchRun(pattern, complex(np.trace(rho)), rho)
 
 
 def outcome(fn, *args):
@@ -242,7 +237,7 @@ def outcome(fn, *args):
 def assert_same_branch(got, want):
     assert got.pattern == want.pattern
     assert got.probability == want.probability
-    assert got.state.rho.tobytes() == want.state.rho.tobytes()
+    assert got.rho.tobytes() == want.rho.tobytes()
 
 
 def signed_zero_examples(test):
@@ -304,7 +299,7 @@ class TestPrefixTree:
             assert average == want_average
         else:
             assert average[1] == want_average[1]
-            assert average[0].rho.tobytes() == want_average[0].rho.tobytes()
+            assert average[0].tobytes() == want_average[0].tobytes()
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_each_site_and_bit_is_lifted_once(self, monkeypatch, n):
@@ -384,9 +379,10 @@ class TestLift:
 class TestRunProtocolAverage:
     def test_normalized_output_physical(self):
         p = make_params(n_qubits=3, eta=2.2)
-        state, total = run_protocol_average(p, Convention.PHYSICAL)
+        rho, total = run_protocol_average(p, Convention.PHYSICAL)
+        assert rho.shape == (8, 8)
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
-        np.testing.assert_allclose(state.trace(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.trace(rho), 1.0, atol=1e-12)
 
     def test_degenerate_total_weight_raises(self):
         # Two-sided multiplication puts a zero of the total weight at
@@ -416,12 +412,12 @@ def qfi_loop(state_at, phi0, step=1e-5):
 
 
 def qfi_test_states():
-    states = [ghz_state(n, math.pi / 2, 0.3).rho for n in (1, 2, 3)]
-    states.append(ghz_state(2, math.pi / 3, 0.0).rho)
+    states = [ghz_state(n, math.pi / 2, 0.3) for n in (1, 2, 3)]
+    states.append(ghz_state(2, math.pi / 3, 0.0))
     states.append(np.diag([0.3, 0.2, 0.1, 0.4]).astype(np.complex128))
     p = make_params(n_qubits=3, gamma=1.1, phi0=0.4, r=0.3)
     for b in run_all_branches(p, Convention.PHYSICAL):
-        states.append(b.state.rho / b.probability.real)
+        states.append(b.rho / b.probability.real)
     return states
 
 
@@ -438,13 +434,13 @@ class TestQfiGeneral:
         # Collective-phase information of a pure balanced superposition is
         # exactly N^2.
         for n in (1, 2, 3):
-            rho = ghz_state(n, math.pi / 2, 0.3).rho
+            rho = ghz_state(n, math.pi / 2, 0.3)
             fisher = qfi_general(lambda d, rho=rho: phase_imprint(rho, d), 0.0)
             np.testing.assert_allclose(fisher, n**2, rtol=1e-6)
 
     def test_pure_unbalanced_state(self):
         # 4 |alpha|^2 |beta|^2 N^2 with |alpha|^2 = 3/4.
-        rho = ghz_state(2, math.pi / 3, 0.0).rho
+        rho = ghz_state(2, math.pi / 3, 0.0)
         fisher = qfi_general(lambda d: phase_imprint(rho, d), 0.0)
         np.testing.assert_allclose(fisher, 4 * 0.75 * 0.25 * 4, rtol=1e-6)
 
@@ -454,7 +450,7 @@ class TestQfiGeneral:
         np.testing.assert_allclose(fisher, 0.0, atol=1e-10)
 
     def test_step_domain(self):
-        rho = ghz_state(1, math.pi / 2, 0.0).rho
+        rho = ghz_state(1, math.pi / 2, 0.0)
         family = lambda d: phase_imprint(rho, d)  # noqa: E731
         with pytest.raises(ValueError, match="step"):
             qfi_general(family, 0.0, step=1e-8)
@@ -512,7 +508,7 @@ class TestDoNothingBaseline:
         for _ in range(10):
             n = int(rng.integers(1, 4))
             p = random_params(rng, n)
-            rho = ghz_state(n, p.gamma, p.phi0).rho
+            rho = ghz_state(n, p.gamma, p.phi0)
             e0, e1 = adc_kraus(p.r)
             for site in range(n):
                 left = np.eye(2**site, dtype=np.complex128)

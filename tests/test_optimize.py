@@ -633,3 +633,50 @@ class TestGridEvaluation:
         assert optimize._eta_axis(grid, Engine.DENSE, False, False) == (0.0, 1.0, 3)
         assert optimize._eta_axis(grid, Engine.STRUCTURED, False, False) == (0.0, 0.0, 1)
         assert optimize._eta_axis(grid, Engine.STRUCTURED, True, False) == (0.0, 1.0, 3)
+
+
+class TestRegisterCeiling:
+    """Searches and scans refuse a register above the scalar path's ceiling
+    before they evaluate any grid."""
+
+    SEARCHES = {
+        "maximize_metric": lambda p, **kw: maximize_metric(
+            Objective.QFI, 0.3, p, SMALL, **kw
+        ),
+        "unit_probability": lambda p, **kw: maximize_fidelity_at_unit_probability(
+            0.3, p, SMALL, **kw
+        ),
+        "sweep_r": lambda p, **kw: sweep_r(Objective.FIDELITY, [0.1, 0.3], p, SMALL, **kw),
+        "sweep_r_unit": lambda p, **kw: sweep_r(UNIT_PROBABILITY, [0.1, 0.3], p, SMALL, **kw),
+        "pareto_scan": lambda p, **kw: pareto_scan(0.3, p, TestParetoScan.GRID, **kw),
+    }
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_structured_register_above_64_raises_before_the_kernel(
+        self, monkeypatch, search
+    ):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(optimize, "_aggregates", counting)
+        monkeypatch.setattr(structured, "_aggregates", counting)
+        with pytest.raises(ValueError, match="n_qubits=65 exceeds the configured maximum 64"):
+            self.SEARCHES[search](ghz(65))
+        assert calls == []
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_dense_register_above_6_raises_before_any_point(self, monkeypatch, search):
+        calls = []
+        monkeypatch.setattr(
+            optimize, "aggregate_metrics_dense", lambda *args: calls.append(args)
+        )
+        with pytest.raises(ValueError, match="n_qubits=7 exceeds the configured maximum 6"):
+            self.SEARCHES[search](ghz(7), engine=Engine.DENSE)
+        assert calls == []
+
+    def test_largest_structured_register_is_searched(self):
+        res = maximize_metric(Objective.PROBABILITY, 0.3, ghz(64), SMALL)
+        assert res.value == pytest.approx(1.0)

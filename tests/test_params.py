@@ -1,10 +1,13 @@
 """Validation and enumeration tests for the shared parameter types."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ghzprotect import params
 from ghzprotect.params import (
     DEGENERACY_TOL,
     BranchClass,
@@ -193,6 +196,40 @@ class TestMetricsRow:
     def test_imag_residual_non_negative(self):
         with pytest.raises(ValueError, match="imag_residual"):
             self.make_row(imag_residual=-1e-18)
+
+    def test_realized_keeps_real_parts_and_largest_imaginary(self):
+        row = MetricsRow.realized(
+            (0.2, 0.5, 0.1), (0.9 + 1e-17j, 0.8 - 3e-16j, 42.0 + 2e-16j),
+            Convention.PAPER, Engine.DENSE,
+        )
+        assert row == self.make_row(
+            imag_residual=3e-16, convention=Convention.PAPER, engine=Engine.DENSE
+        )
+
+    def test_realized_rows_are_bound_checked(self):
+        with pytest.raises(ValueError, match="probability"):
+            MetricsRow.realized(
+                (0.2, 0.5, 0.1), (1.1 + 0j, 0.8 + 0j, 42.0 + 0j),
+                Convention.PHYSICAL, Engine.STRUCTURED,
+            )
+
+    def test_engines_build_rows_only_through_realized(self):
+        # The one real-valued row, the no-protection baseline, is built
+        # directly; every engine's complex aggregates go through realized.
+        calls = []
+        for path in sorted(Path(params.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for func in ast.walk(tree):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                calls += [
+                    (path.name, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "MetricsRow"
+                ]
+        assert calls == [("dense.py", "do_nothing_baseline")]
 
 
 class TestClassCutoffs:

@@ -176,7 +176,7 @@ class TestBranchElements:
                         dense_run = run_protocol_branch(p, pattern, conv)
                         np.testing.assert_allclose(
                             state_export(e, n),
-                            dense_run.state.rho,
+                            dense_run.rho,
                             atol=1e-10,
                             err_msg=(
                                 f"class k={k} disagrees with dense record "
