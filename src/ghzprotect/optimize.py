@@ -25,6 +25,7 @@ import numpy as np
 from .closedform import metrics_closedform
 from .dense import DENSE_MAX_QUBITS, aggregate_metrics_dense, do_nothing_baseline
 from .params import (
+    DEFAULT_MAX_QUBITS,
     TWO_PI,
     Convention,
     DegeneracyError,
@@ -77,8 +78,12 @@ class GridSpec:
     evenly spaced points.  After the full grid, ``refine_iters`` further
     grids of the same step counts are evaluated, each spanning a window
     around the incumbent whose width is the previous width times
-    ``refine_shrink`` (clamped to the original range), so the total
+    ``refine_shrink`` (clamped to the original range), so the full-axis
     evaluation budget is ``steps_theta * steps_eta * (1 + refine_iters)``.
+    Searches that cannot read the rotation angle evaluate one angle per
+    grid (the unit-probability search, and the structured engine's
+    physical-convention probability and information searches), so they
+    visit ``steps_theta * (1 + refine_iters)`` points.
     """
 
     theta_range: tuple[float, float, int] = (0.0, math.pi, 181)
@@ -109,7 +114,11 @@ class GridSpec:
 
     @property
     def evaluation_count(self) -> int:
-        """Total number of grid points visited across all iterations."""
+        """Grid points over all iterations when the full rotation axis is searched.
+
+        A search that pins the rotation angle visits ``steps_theta * (1 +
+        refine_iters)`` points instead.
+        """
         return self.theta_range[2] * self.eta_range[2] * (1 + self.refine_iters)
 
 
@@ -177,18 +186,25 @@ def _check_engine(
 
     That is the closed-form engine under the physical convention, and a
     register above the structured or dense engine's qubit ceiling: the
-    structured grids never reach the scalar path's check.  The closed-form
-    scalar path checks its own ceiling at the first point.
+    structured grids never reach the scalar path's check.  The ceiling
+    error names the engine.  The closed-form scalar path checks its own
+    ceiling at the first point.
     """
     if engine is Engine.CLOSEDFORM_VERBATIM and convention is not Convention.PAPER:
         raise ValueError(
             "the closed-form engine evaluates the two-sided rotation algebra "
             "and only supports the paper convention"
         )
-    if engine is Engine.STRUCTURED:
-        validate_params(p_base)
-    elif engine is Engine.DENSE:
-        validate_params(p_base, max_qubits=DENSE_MAX_QUBITS)
+    ceiling = {
+        Engine.STRUCTURED: DEFAULT_MAX_QUBITS, Engine.DENSE: DENSE_MAX_QUBITS
+    }.get(engine)
+    if ceiling is not None:
+        if p_base.n_qubits > ceiling:
+            raise ValueError(
+                f"n_qubits={p_base.n_qubits} exceeds the configured maximum "
+                f"{ceiling} of the {engine.value} engine"
+            )
+        validate_params(p_base, max_qubits=ceiling)
 
 
 def _point_row(

@@ -3,8 +3,9 @@
 Every qubit sees the same control parameters, so a measurement record
 matters only through k, its number of 0 outcomes, and each of the N+1
 record classes evolves in closed form: the branch operator is a sum of two
-diagonal tensor products (descendants of the two input populations) plus a
-pair of corner coherences.  All aggregates then cost O(N) instead of
+diagonal tensor products (descendants of the two input populations, each k
+copies of one qubit pair and n - k of another) plus a pair of corner
+coherences.  All aggregates then cost O(N) instead of
 O(4^N), which is what makes thousand-qubit registers tractable.
 """
 
@@ -30,53 +31,6 @@ from ghzprotect.params import (
     validate_params,
 )
 
-#: Most (class, point) values one block of a paired QFI evaluation holds;
-#: a block holds whole points.  A grid takes one class at a time.
-_BLOCK_ELEMENTS = 1 << 15
-
-
-@dataclass(frozen=True)
-class DiagProduct:
-    """A diagonal tensor-product operator: scalar * prod_i diag(d0_i, d1_i).
-
-    Stores one (d0, d1) pair per qubit, so traces and single diagonal
-    entries cost O(N) while the operator itself would be 2^N dimensional.
-    """
-
-    scalar: complex
-    pairs: tuple[tuple[complex, complex], ...]
-
-    def trace(self) -> complex:
-        out = complex(self.scalar)
-        for d0, d1 in self.pairs:
-            out *= d0 + d1
-        return out
-
-    def first_entry(self) -> complex:
-        """Diagonal entry at |0...0>: scalar * prod d0."""
-        out = complex(self.scalar)
-        for d0, _ in self.pairs:
-            out *= d0
-        return out
-
-    def last_entry(self) -> complex:
-        """Diagonal entry at |1...1>: scalar * prod d1."""
-        out = complex(self.scalar)
-        for _, d1 in self.pairs:
-            out *= d1
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        """Expand the full 2^N diagonal (exponential; small N only).
-
-        The first stored pair is the most significant bit, matching the
-        dense engine's operator ordering.
-        """
-        vec = np.array([self.scalar], dtype=np.complex128)
-        for d0, d1 in self.pairs:
-            vec = np.kron(vec, np.array([d0, d1], dtype=np.complex128))
-        return vec
-
 
 @dataclass(frozen=True)
 class BranchElements:
@@ -84,10 +38,7 @@ class BranchElements:
 
     A and B are the populations at |0...0> and |1...1>; C and D are the
     coherences at (|1...1>, |0...0>) and its transpose position; P is the
-    class trace (per-record weight, before multiplicity).  diag_alpha and
-    diag_beta are the two diagonal tensor products descending from the
-    input populations |alpha|^2 and |beta|^2; A, B and P are the sums of
-    their extreme entries and of their traces.
+    class trace (per-record weight, before multiplicity).
     """
 
     k: int
@@ -96,8 +47,6 @@ class BranchElements:
     C: complex
     D: complex
     P: complex
-    diag_alpha: DiagProduct
-    diag_beta: DiagProduct
 
 
 def _rotation_phases(convention: Convention, eta: float):
@@ -117,12 +66,14 @@ def _rotation_phases(convention: Convention, eta: float):
     return (1.0 + 0.0j, 1.0 + 0.0j), (1.0 + 0.0j, 1.0 + 0.0j), (zm, zp)
 
 
-def _qubit_pairs(p: ProtocolParams, convention: Convention):
-    """Per-qubit (d0, d1) diagonal pairs for both input populations.
+def _branch_pairs(p: ProtocolParams, convention: Convention):
+    """The two input branches, each as (weight, outcome-0 pair, outcome-1 pair).
 
-    Returns (alpha_o0, alpha_o1, beta_o0, beta_o1): the diagonal images of
-    |0><0| (alpha branch) and |1><1| (beta branch) for a qubit whose record
-    bit is 0 or 1, including the conditional-rotation phases.
+    The alpha branch descends from |0><0| with weight |alpha|^2, the beta
+    branch from |1><1| with weight |beta|^2.  Each pair is the per-qubit
+    diagonal image (d0, d1) for a qubit whose record bit is 0 or 1,
+    including the conditional-rotation phases, so the class with k zeros
+    has, in each branch, the diagonal weight * d_o0^(x k) x d_o1^(x (n-k)).
     """
     u = math.cos(p.theta / 2.0) ** 2
     v = math.sin(p.theta / 2.0) ** 2
@@ -132,7 +83,10 @@ def _qubit_pairs(p: ProtocolParams, convention: Convention):
     alpha_o1 = (v * (1.0 - r) * rot1[0], v * r * rot1[1])
     beta_o0 = (v * r * rot0[0], v * (1.0 - r) * rot0[1])
     beta_o1 = (0.0 * rot1[0], u * rot1[1])
-    return alpha_o0, alpha_o1, beta_o0, beta_o1
+    return (
+        (abs(p.alpha) ** 2, alpha_o0, alpha_o1),
+        (abs(p.beta) ** 2, beta_o0, beta_o1),
+    )
 
 
 def branch_elements(
@@ -141,23 +95,27 @@ def branch_elements(
     convention: Convention,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> BranchElements:
-    """Closed-form branch operator of the record class with k zeros."""
+    """Closed-form branch operator of the record class with k zeros.
+
+    A, B and P take, in each branch, the first entries, the last entries
+    or the sums of the per-qubit pairs to the powers k and n - k.
+    """
     validate_params(p, max_qubits=max_qubits)
     n = p.n_qubits
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
 
-    alpha, beta = p.alpha, p.beta
-    a0, a1, b0, b1 = _qubit_pairs(p, convention)
-    diag_alpha = DiagProduct(
-        scalar=abs(alpha) ** 2, pairs=(a0,) * k + (a1,) * (n - k)
-    )
-    diag_beta = DiagProduct(
-        scalar=abs(beta) ** 2, pairs=(b0,) * k + (b1,) * (n - k)
-    )
+    (wa, a0, a1), (wb, b0, b1) = _branch_pairs(p, convention)
+
+    def over_branches(entry):
+        return (
+            wa * entry(a0) ** k * entry(a1) ** (n - k)
+            + wb * entry(b0) ** k * entry(b1) ** (n - k)
+        )
 
     # Corner coherence: every qubit contributes sin(theta)/2 * sqrt(1-r)
     # regardless of its record bit; only the rotation phase is conditional.
+    alpha, beta = p.alpha, p.beta
     _, _, corner_lo = _rotation_phases(convention, p.eta)
     w = (math.sin(p.theta) / 2.0) * math.sqrt(1.0 - p.r)
     lower = (
@@ -172,10 +130,9 @@ def branch_elements(
     )
     return BranchElements(
         k=k, C=complex(lower), D=complex(upper),
-        A=diag_alpha.first_entry() + diag_beta.first_entry(),
-        B=diag_alpha.last_entry() + diag_beta.last_entry(),
-        P=diag_alpha.trace() + diag_beta.trace(),
-        diag_alpha=diag_alpha, diag_beta=diag_beta,
+        A=over_branches(lambda d: d[0]),
+        B=over_branches(lambda d: d[1]),
+        P=over_branches(lambda d: d[0] + d[1]),
     )
 
 
@@ -269,23 +226,28 @@ def aggregate_metrics(
     )
 
 
-def state_export(elements: BranchElements, n: int) -> np.ndarray:
-    """Expand a class's branch operator to a dense 2^n matrix.
+def state_export(p: ProtocolParams, k: int, convention: Convention) -> np.ndarray:
+    """Expand the branch operator of the class with k zeros to a dense 2^n matrix.
 
-    The diagonal comes from the two stored tensor products (record bits in
-    canonical order: the k zero-outcomes first); the two corner coherences
-    are C at (|1...1>, |0...0>) and D at the transposed position.  Only
-    meant for small n, where it feeds comparison against the dense path.
+    Each branch's diagonal is its weight times the Kronecker product of
+    its k outcome-0 pairs and then its n - k outcome-1 pairs (record bits
+    in canonical order, the first the most significant, as in the dense
+    engine); the two corner coherences are C at (|1...1>, |0...0>) and D
+    at the transposed position.  Only meant for small n, where it feeds
+    comparison against the dense path: n > 16 is refused before anything
+    is expanded.
     """
-    if len(elements.diag_alpha.pairs) != n:
-        raise ValueError(
-            f"elements describe {len(elements.diag_alpha.pairs)} qubits, "
-            f"asked to export {n}"
-        )
+    n = p.n_qubits
     if n > 16:
         raise ValueError(f"refusing to expand a 2^{n}-dimensional matrix")
-    diag = elements.diag_alpha.diagonal() + elements.diag_beta.diagonal()
-    rho = np.diag(diag).astype(np.complex128)
+    elements = branch_elements(p, k, convention)
+    diagonals = []
+    for weight, o0, o1 in _branch_pairs(p, convention):
+        vec = np.array([weight], dtype=np.complex128)
+        for pair in (o0,) * k + (o1,) * (n - k):
+            vec = np.kron(vec, np.array(pair, dtype=np.complex128))
+        diagonals.append(vec)
+    rho = np.diag(diagonals[0] + diagonals[1])
     rho[-1, 0] += elements.C
     rho[0, -1] += elements.D
     return rho
@@ -429,10 +391,9 @@ def _class_sum(
 
     With ``paired``, the L points of ``shape`` = (L,) are independent:
     each sums its n+1 class terms in one pairwise reduction along a
-    contiguous class axis, so each has the bits it has alone.  Blocks then
-    split the points, never the classes.  A one-point call is always
-    paired (:func:`_aggregates`), so its last bits can differ from the
-    same point's on a larger grid.
+    contiguous class axis of one (L, n+1) buffer, so each has the bits it
+    has alone.  A one-point call is always paired (:func:`_aggregates`),
+    so its last bits can differ from the same point's on a larger grid.
     """
     c2, s2, u, q, vr_n, w, phase, degenerate = terms
     c_abs = math.sqrt(c2 * s2) * w**n  # |C|, the same for every class
@@ -448,19 +409,15 @@ def _class_sum(
     weight = _multiplicities(n).reshape(k.shape) * (4.0 * n**2 * c_sq)
 
     if paired:
-        qfi = np.empty(shape, dtype=np.complex128)
-        step = max(1, _BLOCK_ELEMENTS // (n + 1))
-        for start in range(0, shape[0], step):
-            ps = slice(start, min(start + step, shape[0]))
-            rows = np.empty((ps.stop - start, n + 1), dtype=np.complex128)
-            d = rows.T  # class-first, as on a grid, over a contiguous class axis
-            np.multiply(plus[:, ps], phase[:, ps].real, out=d.real)
-            np.multiply(minus[:, ps], phase[:, ps].imag, out=d.imag)
-            size = np.abs(d)
-            d[size < drop_below[ps]] = np.inf  # a dropped class adds nothing
-            d[size < pole_below[ps]] = np.nan
-            np.divide(weight[:, ps], d, out=d)
-            qfi[ps] = rows.sum(axis=1)
+        rows = np.empty(shape + (n + 1,), dtype=np.complex128)
+        d = rows.T  # class-first, as on a grid, over a contiguous class axis
+        np.multiply(plus, phase.real, out=d.real)
+        np.multiply(minus, phase.imag, out=d.imag)
+        size = np.abs(d)
+        d[size < drop_below] = np.inf  # a dropped class adds nothing
+        d[size < pole_below] = np.nan
+        np.divide(weight, d, out=d)
+        qfi = rows.sum(axis=1)
     else:
         clear = _clear_classes(plus, minus, phase)
         qfi = np.zeros(shape, dtype=np.complex128)
@@ -522,8 +479,8 @@ def _aggregates(
     e^(2k-n) and B_k ~ s2 q^k u^(n-k) e^(n-2k), and |C|^2 = c2 s2 (uq)^n =
     |A_k| |B_k|.  Probability and fidelity collapse to O(1) powers
     (:func:`_closed_forms`).  The QFI sums mult 4 n^2 |C|^2 / (A+B) over
-    the classes (:func:`_class_sum`): a class at a time on a grid, and in
-    blocks of whole points, of at most _BLOCK_ELEMENTS values, when paired.
+    the classes (:func:`_class_sum`): a class at a time on a grid, and all
+    classes of all points at once when paired.
     Each class is a pole (NaN) or adds nothing by
     :func:`~ghzprotect.params.class_cutoffs`, the rule every engine uses.
 

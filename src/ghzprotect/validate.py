@@ -199,7 +199,7 @@ def _check_dense_vs_structured_states(rng) -> tuple[bool, str]:
             for k in range(n + 1):
                 pattern = "0" * k + "1" * (n - k)
                 dense_rho = run_protocol_branch(p, pattern, convention).rho
-                exported = state_export(branch_elements(p, k, convention), n)
+                exported = state_export(p, k, convention)
                 if np.max(np.abs(dense_rho - exported)) > 1e-10:
                     return _fail(f"params={p} convention={convention.value} k={k}")
     return _ok()

@@ -109,7 +109,7 @@ def test_02_cross_engine_equality():
                 for k in range(n + 1):
                     pattern = "0" * k + "1" * (n - k)
                     dense_rho = run_protocol_branch(p, pattern, convention).rho
-                    exported = state_export(branch_elements(p, k, convention), n)
+                    exported = state_export(p, k, convention)
                     assert np.max(np.abs(dense_rho - exported)) <= 1e-10
                 dense_row = aggregate_metrics_dense(p, convention)
                 fast_row = aggregate_metrics(p, convention)

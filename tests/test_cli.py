@@ -607,7 +607,19 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         n = argv[argv.index("--n") + 1]
-        assert err == f"error: n_qubits={n} exceeds the configured maximum 64\n"
+        assert err == (
+            f"error: n_qubits={n} exceeds the configured maximum 64 "
+            "of the structured engine\n"
+        )
+
+    def test_dense_metrics_at_the_default_register_names_the_engine(self, capsys):
+        # The default register, n = 10, is above the dense engine's ceiling.
+        code, out, err = run_cli(capsys, ["metrics", "--engine", "dense"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: n_qubits=10 exceeds the configured maximum 6 "
+            "of the dense engine\n"
+        )
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 import warnings
 
 import mpmath
@@ -18,7 +19,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ghzprotect import structured
 from ghzprotect.dense import (
     aggregate_metrics_dense,
     run_protocol_branch,
@@ -30,7 +30,6 @@ from ghzprotect.params import (
 )
 from ghzprotect.structured import (
     BranchElements,
-    DiagProduct,
     _aggregates,
     _paired_complex,
     aggregate_complex,
@@ -86,21 +85,6 @@ def class_sum_oracle(n, gamma, theta, eta, r, convention):
             b = s2 * q**k * u ** (n - k) * e ** (n - 2 * k) + (k == 0) * c2 * (vr * e) ** n
             total += mpmath.binomial(n, k) * 4 * n**2 * c_sq / (a + b)
         return complex(total)
-
-
-class TestDiagProduct:
-    def test_trace_first_last_against_expansion(self):
-        rng = np.random.default_rng(43)
-        raw = rng.normal(size=(3, 2, 2))
-        pairs = tuple(
-            (complex(a[0], a[1]), complex(b[0], b[1])) for a, b in raw
-        )
-        dp = DiagProduct(scalar=1.5 - 0.5j, pairs=pairs)
-        diag = dp.diagonal()
-        assert diag.size == 8
-        np.testing.assert_allclose(dp.trace(), diag.sum(), atol=1e-14)
-        np.testing.assert_allclose(dp.first_entry(), diag[0], atol=1e-14)
-        np.testing.assert_allclose(dp.last_entry(), diag[-1], atol=1e-14)
 
 
 class TestBranchElements:
@@ -166,7 +150,7 @@ class TestBranchElements:
 
     def test_state_export_matches_dense_branch(self):
         rng = np.random.default_rng(61)
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5, 6):
             for _ in range(5):
                 p = random_params(rng, n)
                 for conv in Convention:
@@ -175,7 +159,7 @@ class TestBranchElements:
                         pattern = "0" * k + "1" * (n - k)
                         dense_run = run_protocol_branch(p, pattern, conv)
                         np.testing.assert_allclose(
-                            state_export(e, n),
+                            state_export(p, k, conv),
                             dense_run.rho,
                             atol=1e-10,
                             err_msg=(
@@ -188,9 +172,16 @@ class TestBranchElements:
                         )
 
     def test_state_export_size_guard(self):
-        e = branch_elements(make_params(), 1, Convention.PHYSICAL)
-        with pytest.raises(ValueError, match="describe"):
-            state_export(e, 3)
+        # A 2^17 diagonal alone would take 2 MiB; the guard refuses first.
+        p = make_params(n_qubits=17)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="refusing to expand a 2\\^17"):
+                state_export(p, 3, Convention.PAPER)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 #: N = 6 paper-convention point whose QFI classes sit near cancellation.
@@ -213,20 +204,12 @@ class TestBranchQfi:
         assert branch_qfi(e, 2) == 0.0
 
     def test_degenerate_populations_raise(self):
-        dp = DiagProduct(scalar=1.0, pairs=((1.0, 0.0),))
-        e = BranchElements(
-            k=0, A=0.0, B=0.0, C=0.1, D=0.1, P=1.0,
-            diag_alpha=dp, diag_beta=dp,
-        )
+        e = BranchElements(k=0, A=0.0, B=0.0, C=0.1, D=0.1, P=1.0)
         with pytest.raises(DegeneracyError, match="populations"):
             branch_qfi(e, 1)
 
     def test_degenerate_weight_raises(self):
-        dp = DiagProduct(scalar=1.0, pairs=((1.0, 0.0),))
-        e = BranchElements(
-            k=0, A=0.2, B=0.2, C=0.1, D=0.1, P=0.0,
-            diag_alpha=dp, diag_beta=dp,
-        )
+        e = BranchElements(k=0, A=0.2, B=0.2, C=0.1, D=0.1, P=0.0)
         with pytest.raises(DegeneracyError, match="weight"):
             branch_qfi(e, 1)
 
@@ -523,16 +506,15 @@ def test_paired_points_have_the_bits_of_one_point_calls(n, gamma, phi0, points, 
 
 
 @pytest.mark.parametrize("conv", list(Convention))
-def test_a_paired_batch_splits_over_points_and_keeps_the_bits(conv):
-    # 120 points of 301 classes exceed one block of 2^15 values, so the
-    # batch is split over its points; each point keeps its bits.
+def test_a_large_paired_batch_keeps_the_bits_of_each_point(conv):
+    # 120 points of 301 classes share one buffer of 36,120 values; each
+    # point keeps the bits of its one-point call.
     rng = np.random.default_rng(12)
     points = [
         tuple(map(float, rng.uniform((0.0, 0.5, 0.0), (0.3, 2.5, 2 * math.pi))))
         for _ in range(120)
     ]
     p = ProtocolParams(n_qubits=300, gamma=1.1, phi0=0.3, theta=0.0, eta=0.0, r=0.0)
-    assert 120 * 301 > structured._BLOCK_ELEMENTS
     assert _paired_outcomes(p, points, conv) == _scalar_outcomes(p, points, conv)
 
 
