@@ -1,23 +1,19 @@
-"""Dense (full density-matrix) reference implementation of the protocol.
+"""Dense (literal Kraus) reference implementation of the protocol.
 
-This is the trusted arbiter: every record is evolved step by step on the
-full 2^N-dimensional density matrix, with no per-class or closed-form
-shortcuts.  A Kraus step K rho K^dag is computed entry by entry instead of
-through the 2^N x 2^N embedded matrix K = I (x) op (x) I: every site
-operator of the protocol has at most one nonzero per row, so each entry of
-the result is a single product, and the terms a matrix product would add
-to it are exact zeros.  The states have the bits of the literal matrix
-products (see :func:`_step`).  Records with a common prefix share its
-evolution: :func:`run_all_branches` evolves each prefix once, with the
-same operations in the same order, so every branch state has the bits of a
-record evolved on its own.  It is exponentially expensive and capped at
-small registers; the scalable per-class engine is validated against it.
+The trusted arbiter: every record is evolved site by site with the
+operators of :mod:`ghzprotect.operators`, skipping only exact zeros.  Each
+site operator F_o E F_o M_o is diagonal or has a single entry, so from the
+input's corners a branch state's nonzeros lie on the diagonal and the two
+off-diagonal corners; a state is stored as those 2^N + 2 entries, each with
+the bits of the literal matrix products.  :func:`_walk` advances all record
+prefixes of a tree level in one numpy batch.  A 2^N x 2^N matrix is built
+only on demand (:attr:`BranchRun.rho`, up to N = 6).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -34,22 +30,40 @@ from ghzprotect.params import (
     validate_params,
 )
 
-#: Qubit ceiling for full density-matrix evolution (4^N memory scaling).
-DENSE_MAX_QUBITS = 6
+#: Qubit ceiling of the dense engine (a run stores 2^N (2^N + 2) entries).
+DENSE_MAX_QUBITS = 10
+
+#: Largest register whose branch states are built as 2^N x 2^N matrices.
+_MATRIX_MAX_QUBITS = 6
 
 
-@dataclass(frozen=True)
 class BranchRun:
     """Outcome of the protocol conditioned on one measurement record.
 
-    ``rho`` is the unnormalized 2^N x 2^N branch operator: its trace
-    equals ``probability``.  Under the two-sided-multiplication convention
-    the trace (and hence the probability) is complex for eta != 0.
+    ``probability`` is the trace of the unnormalized branch state, complex
+    under the two-sided convention for eta != 0; ``rho`` is that state as a
+    2^N x 2^N matrix, given as one or as a function that builds it.  The
+    engine's runs build it on each access, up to N = 6 (ValueError above).
     """
 
-    pattern: str
-    probability: complex
-    rho: np.ndarray
+    __slots__ = ("pattern", "probability", "_rho")
+
+    def __init__(
+        self,
+        pattern: str,
+        probability: complex,
+        rho: np.ndarray | Callable[[], np.ndarray],
+    ) -> None:
+        self.pattern = pattern
+        self.probability = probability
+        self._rho = rho
+
+    def __repr__(self) -> str:
+        return f"BranchRun(pattern={self.pattern!r}, probability={self.probability!r})"
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self._rho() if callable(self._rho) else self._rho
 
 
 def ghz_vector(n: int, gamma: float, phi0: float) -> np.ndarray:
@@ -94,8 +108,9 @@ def _lift(op: np.ndarray, site: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     col = nonzero.argmax(axis=1)  # column of each row's entry; 0 if none
     index = np.arange(2**n).reshape(2**site, 2, 2 ** (n - site - 1))
     src = index[:, col, :].ravel()
-    coef = np.broadcast_to(op[(0, 1), col][:, None], index.shape).ravel()
-    return src, coef
+    coef = np.empty(index.shape, dtype=op.dtype)
+    coef[...] = op[(0, 1), col][:, None]
+    return src, coef.ravel()
 
 
 def _pattern_bits(pattern: str, n: int) -> list[int]:
@@ -106,55 +121,147 @@ def _pattern_bits(pattern: str, n: int) -> list[int]:
     return [int(ch) for ch in pattern]
 
 
-def _site_kraus(
-    p: ProtocolParams, site: int, o: int, damping: tuple[np.ndarray, np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The two embedded Kraus operators F_o E F_o M_o of `site` on record bit o."""
+def _positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the stored entries: the diagonal, then (0, 2^N-1) and (2^N-1, 0)."""
+    dim = 2**n
+    rows, cols = np.arange(dim + 2), np.arange(dim + 2)
+    rows[dim:], cols[dim:] = (0, dim - 1), (dim - 1, 0)
+    return rows, cols
+
+
+def _stored_index(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Where each (row, col) is stored; 2^N + 2, a slot that holds 0, if nowhere."""
+    dim = rows.shape[-1] - 2
+    index = np.where(rows == cols, rows, dim + 2)
+    index[(rows == 0) & (cols == dim - 1)] = dim
+    index[(rows == dim - 1) & (cols == 0)] = dim + 1
+    return index
+
+
+def _kraus_ops(
+    p: ProtocolParams, o: int, damping: tuple[np.ndarray, np.ndarray]
+) -> list[np.ndarray]:
+    """The two single-qubit Kraus operators F_o E F_o M_o of record bit o."""
     m = weak_meas_op(o, p.theta)
     f = flip_op(o)
-    return [_lift(f @ e @ f @ m, site, p.n_qubits) for e in damping]
+    return [f @ e @ f @ m for e in damping]
 
 
-def _step(
-    rho: np.ndarray,
-    rot: np.ndarray,
-    kraus: list[tuple[np.ndarray, np.ndarray]],
-    rotation: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One record bit: its site's Kraus sum on rho, its rotation appended to rot.
+def _site_terms(
+    p: ProtocolParams, bits: list[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each site's two Kraus terms on each of its bits ``bits[site]``, on the stored entries.
 
-    With one nonzero per row of K, entry (i, j) of K rho K^dag is the single
-    product ``(coef[i] * rho[src[i], src[j]]) * conj(coef[j])``, rounded in
-    the order ``(K @ rho) @ K^dag`` rounds it.  The terms that product would
-    add are exact zeros, and the protocol's coefficients are real, so each
-    entry has the bits of the matrix product.  A -0 left by a zero
-    coefficient becomes +0 in the sum, which starts from 0.  ``rot`` is the
-    diagonal of the rotation chain, extended with the products ``np.kron``
+    Every operator is lifted once (:func:`_lift`).  Returns (index, left,
+    right) of shape (N, len(bits[0]), 2, 2^N + 2): stored entry k of
+    K rho K^dag is the one product ``(left[k] * rho[index[k]]) * right[k]``
+    that ``(K @ rho) @ K^dag`` forms.  Raises ValueError, naming the site,
+    if a term moves a stored entry to one that is not stored: the entries
+    reading a stored one through nonzero coefficients then outnumber the
+    stored entries that do.
+    """
+    n = p.n_qubits
+    rows, cols = _positions(n)
+    damping = adc_kraus(p.r)
+    ops = [_kraus_ops(p, o, damping) for o in (0, 1)]
+    lifted = [
+        _lift(op, site, n)
+        for site, site_bits in enumerate(bits)
+        for o in site_bits
+        for op in ops[o]
+    ]
+    src = np.array([src for src, _ in lifted])
+    coef = np.array([coef for _, coef in lifted])
+    index = _stored_index(src[:, rows], src[:, cols])
+    left, right = coef[:, rows], coef[:, cols].conj()
+    count, dim = src.shape
+    offsets = dim * np.arange(count)[:, None]
+    readers = np.bincount((src + offsets)[coef != 0], minlength=count * dim)
+    readers = readers.reshape(count, dim)
+    reached = (readers[:, rows] * readers[:, cols]).sum(axis=1)
+    kept = (left != 0) & (right != 0) & (index < dim + 2)
+    leaks = reached != np.count_nonzero(kept, axis=1)
+    if leaks.any():
+        raise ValueError(
+            f"a Kraus operator at site {np.argmax(leaks) * n // count} moves "
+            f"an entry off the diagonal and the corners"
+        )
+    shape = (n, len(bits[0]), 2, rows.size)
+    return index.reshape(shape), left.reshape(shape), right.reshape(shape)
+
+
+def _walk(p: ProtocolParams, bits: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve the input through the tree of record prefixes, one batch per level.
+
+    ``bits[site]`` lists the record bits followed at a site: (0, 1) for
+    every record, or one record's own bit.  A level's Kraus sum is
+    ``0 + t0 + t1``, so a zero is +0 as in the matrix product; entries that
+    are not stored read an exact 0.  Returns (values, rot), a row per record
+    in binary order: the stored entries before the closing rotation, and
+    the diagonal of T_{o_1} (x) ... (x) T_{o_N} with the products np.kron
     forms.
     """
-    rho = sum(
-        (coef[:, None] * rho.take(src, 0).take(src, 1)) * coef.conj()
-        for src, coef in kraus
-    )
-    return rho, np.multiply.outer(rot, rotation).ravel()
+    n = p.n_qubits
+    rows, cols = _positions(n)
+    psi = ghz_vector(n, p.gamma, p.phi0)
+    values = (psi[rows] * psi[cols].conj())[None, :]  # np.outer's products
+    rot = np.ones((1, 1), dtype=np.complex128)
+    index, left, right = _site_terms(p, bits)
+    rotations = np.array([np.diag(rotation_op(o, p.eta)) for o in (0, 1)])
+    for site, site_bits in enumerate(bits):
+        padded = np.concatenate(
+            [values, np.zeros((len(values), 1), dtype=np.complex128)], axis=1
+        )
+        terms = padded[:, index[site]]
+        np.multiply(left[site], terms, out=terms)
+        np.multiply(terms, right[site], out=terms)
+        values = (0 + terms[:, :, 0]) + terms[:, :, 1]
+        values = values.reshape(-1, rows.size)
+        rotation = rotations[list(site_bits)]
+        rot = (rot[:, None, :, None] * rotation[None, :, None, :]).reshape(
+            len(values), -1
+        )
+    return values, rot
 
 
-def _branch(
-    pattern: str, rho: np.ndarray, rot: np.ndarray, convention: Convention
-) -> BranchRun:
-    """Close a record: apply the collected rotation; the trace is its weight.
-
-    The rotation's entries are complex, and an elementwise complex product
-    can round differently from a BLAS matrix product (by up to 1e-15 on
-    unit-scale 64 x 64 states), so the rotation is applied as matrix
-    products.
-    """
-    rot = np.diag(rot)
+def _rotated(values: np.ndarray, rot: np.ndarray, convention: Convention) -> np.ndarray:
+    """The stored entries after the closing rotation T rho T^dag (or T rho T), elementwise."""
+    rows, cols = _positions(rot.shape[1].bit_length() - 1)
+    right = rot[:, cols]
     if convention is Convention.PHYSICAL:
-        rho = rot @ rho @ rot.conj().T
-    else:
-        rho = rot @ rho @ rot
-    return BranchRun(pattern=pattern, probability=complex(np.trace(rho)), rho=rho)
+        right = right.conj()
+    return (rot[:, rows] * values) * right
+
+
+def _matrix(values: np.ndarray, rot: np.ndarray, convention: Convention) -> np.ndarray:
+    """One branch's state as a 2^N x 2^N matrix.
+
+    It is rotated by BLAS matrix products, as the literal evolution is: an
+    elementwise complex product can round differently.
+    """
+    n = rot.size.bit_length() - 1
+    if n > _MATRIX_MAX_QUBITS:
+        raise ValueError(
+            f"a {n}-qubit branch state is built as a matrix only up to "
+            f"{_MATRIX_MAX_QUBITS} qubits"
+        )
+    rho = np.zeros((rot.size, rot.size), dtype=np.complex128)
+    rho[_positions(n)] = values
+    t = np.diag(rot)
+    if convention is Convention.PHYSICAL:
+        return t @ rho @ t.conj().T
+    return t @ rho @ t
+
+
+def _branch_runs(
+    p: ProtocolParams, convention: Convention, patterns: list[str], bits: list[tuple[int, ...]]
+) -> list[BranchRun]:
+    values, rot = _walk(p, bits)
+    traces = _rotated(values, rot, convention)[:, : 2**p.n_qubits].sum(axis=1)
+    return [
+        BranchRun(pattern, trace, partial(_matrix, v, t, convention))
+        for pattern, trace, v, t in zip(patterns, traces.tolist(), values, rot)
+    ]
 
 
 def run_protocol_branch(
@@ -165,22 +272,12 @@ def run_protocol_branch(
     Per qubit, conditioned on its record bit o: weak measurement M_o,
     flip F_o, amplitude damping (full Kraus sum), flip F_o again, and the
     conditional rotation T_o.  The rotation is applied as T rho T^dag
-    (PHYSICAL) or T rho T (PAPER).
-
-    Returns the unnormalized branch state as ``BranchRun.rho``; its trace
-    is the branch probability.
+    (PHYSICAL) or T rho T (PAPER).  Returns the unnormalized branch state
+    as a :class:`BranchRun`; its trace is the branch probability.
     """
     validate_params(p, max_qubits=DENSE_MAX_QUBITS)
-    n = p.n_qubits
-    bits = _pattern_bits(pattern, n)
-
-    rho = ghz_state(n, p.gamma, p.phi0)
-    rot = np.ones(1, dtype=np.complex128)
-    damping = adc_kraus(p.r)
-    for site, o in enumerate(bits):
-        kraus = _site_kraus(p, site, o, damping)
-        rho, rot = _step(rho, rot, kraus, np.diag(rotation_op(o, p.eta)))
-    return _branch(pattern, rho, rot, convention)
+    bits = _pattern_bits(pattern, p.n_qubits)
+    return _branch_runs(p, convention, [pattern], [(o,) for o in bits])[0]
 
 
 def run_all_branches(
@@ -188,33 +285,14 @@ def run_all_branches(
 ) -> list[BranchRun]:
     """All 2^N record branches, ordered by the pattern's binary value.
 
-    Walks the tree of record prefixes depth first and takes each prefix's
-    step once: 2^(N+1) - 2 steps instead of N 2^N, and 4N embedded Kraus
-    operators instead of N 2^(N+1).  A step touches each entry of the
-    state once per Kraus operator, and each leaf applies its rotation as
-    two 2^N x 2^N matrix products.  Each branch goes through the
-    operations :func:`run_protocol_branch` takes for its pattern, so the
-    two agree bit for bit.  The walk keeps an explicit stack, which holds
-    at most one pending sibling per level.
+    One walk over the tree of record prefixes, so a prefix is evolved once.
+    A branch goes through the operations :func:`run_protocol_branch` takes
+    for its pattern, so the two agree bit for bit.
     """
     validate_params(p, max_qubits=DENSE_MAX_QUBITS)
     n = p.n_qubits
-    damping = adc_kraus(p.r)
-    kraus = [[_site_kraus(p, site, o, damping) for o in (0, 1)] for site in range(n)]
-    rotation = [np.diag(rotation_op(o, p.eta)) for o in (0, 1)]
-
-    branches = []
-    stack = [("", ghz_state(n, p.gamma, p.phi0), np.ones(1, dtype=np.complex128))]
-    while stack:
-        prefix, rho, rot = stack.pop()
-        site = len(prefix)
-        if site == n:
-            branches.append(_branch(prefix, rho, rot, convention))
-            continue
-        for o in (1, 0):  # bit 0 is popped first: binary order
-            child = _step(rho, rot, kraus[site][o], rotation[o])
-            stack.append((prefix + str(o), *child))
-    return branches
+    patterns = [format(index, f"0{n}b") for index in range(2**n)]
+    return _branch_runs(p, convention, patterns, [(0, 1)] * n)
 
 
 def run_protocol_average(
@@ -224,10 +302,12 @@ def run_protocol_average(
 
     Sums the unnormalized branch states over every record and renormalizes
     by the total trace; returns ``(rho, total)``, ``rho`` a 2^N x 2^N
-    matrix of unit trace.  Raises :class:`DegeneracyError` when the total
-    weight vanishes (every branch killed, e.g. projective measurement onto
-    decayed components), since no average state exists there.
+    matrix of unit trace, for N up to 6.  Raises :class:`DegeneracyError`
+    when the total weight vanishes (every branch killed, e.g. projective
+    measurement onto decayed components), since no average state exists
+    there.
     """
+    validate_params(p, max_qubits=_MATRIX_MAX_QUBITS)
     branches = run_all_branches(p, convention)
     total = sum(b.probability for b in branches)
     if abs(total) < DEGENERACY_TOL:
@@ -307,46 +387,48 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def _corner_elements(rho: np.ndarray) -> tuple[complex, complex, complex]:
-    """(A, B, C): the two extreme populations and the corner coherence."""
-    return complex(rho[0, 0]), complex(rho[-1, -1]), complex(rho[0, -1])
-
-
 def aggregate_metrics_dense(
     p: ProtocolParams, convention: Convention
 ) -> MetricsRow:
     """Record-averaged probability/fidelity/QFI from full branch evolution.
 
-    The QFI aggregate is the record-average of per-branch information,
+    The traces, <psi|rho_b|psi> and the corners are read from one walk's
+    stored entries, and summed over the records in binary order.  The QFI
+    aggregate is the record-average of per-branch information,
     sum_b 4 |C_b|^2 N^2 / (A_b + B_b): each branch estimates the collective
     phase through its surviving corner coherence, and the branch weight
     cancels against the normalization of the branch state.
     """
-    branches = run_all_branches(p, convention)
+    validate_params(p, max_qubits=DENSE_MAX_QUBITS)
     n = p.n_qubits
+    dim = 2**n
+    values, rot = _walk(p, [(0, 1)] * n)
+    entries = _rotated(values, rot, convention)
 
-    p_total = sum(b.probability for b in branches)
+    p_total = sum(entries[:, :dim].sum(axis=1).tolist())
     if abs(p_total) < DEGENERACY_TOL:
         raise DegeneracyError(
             f"total branch weight {p_total} vanishes at theta={p.theta}, "
             f"eta={p.eta}, r={p.r}"
         )
 
-    psi = ghz_vector(n, p.gamma, p.phi0)
-    fid_num = sum(complex(psi.conj() @ b.rho @ psi) for b in branches)
+    a, b, c, c_back = (entries[:, k] for k in (0, dim - 1, dim, dim + 1))
+    alpha, beta = p.alpha, p.beta
+    fid = (alpha.conjugate() * a + beta.conjugate() * c_back) * alpha
+    fid += (alpha.conjugate() * c + beta.conjugate() * b) * beta
+    fid_num = sum(fid.tolist())
 
-    qfi = 0.0 + 0.0j
-    for b in branches:
-        a, bb, c = _corner_elements(b.rho)
-        denom = a + bb
-        pole_below, drop_below = class_cutoffs(abs(c))
-        if abs(denom) < pole_below:
-            raise DegeneracyError(
-                f"branch {b.pattern} has vanishing corner populations; "
-                f"its information contribution is undefined"
-            )
-        if abs(denom) >= drop_below:
-            qfi += 4.0 * abs(c) ** 2 * n**2 / denom
+    denom = a + b
+    c_abs = np.abs(c)
+    pole_below, drop_below = class_cutoffs(c_abs)
+    poles = np.abs(denom) < pole_below
+    if poles.any():
+        raise DegeneracyError(
+            f"branch {int(np.argmax(poles)):0{n}b} has vanishing corner "
+            f"populations; its information contribution is undefined"
+        )
+    kept = np.abs(denom) >= drop_below
+    qfi = sum((4.0 * c_abs[kept] ** 2 * n**2 / denom[kept]).tolist(), 0j)
 
     return MetricsRow.realized(
         (p.r, p.theta, p.eta), (p_total, fid_num / p_total, qfi), convention,

@@ -80,10 +80,11 @@ class GridSpec:
     around the incumbent whose width is the previous width times
     ``refine_shrink`` (clamped to the original range), so the full-axis
     evaluation budget is ``steps_theta * steps_eta * (1 + refine_iters)``.
-    Searches that cannot read the rotation angle evaluate one angle per
-    grid (the unit-probability search, and the structured engine's
-    physical-convention probability and information searches), so they
-    visit ``steps_theta * (1 + refine_iters)`` points.
+    Searches whose best angle is known evaluate one angle per grid (the
+    unit-probability search, and the structured engine's
+    physical-convention searches; the fidelity's only when the rotation
+    range starts at 0), so they visit ``steps_theta * (1 + refine_iters)``
+    points.
     """
 
     theta_range: tuple[float, float, int] = (0.0, math.pi, 181)
@@ -284,22 +285,37 @@ def _best_per_level(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eta_axis(
-    grid: GridSpec, engine: Engine, eta_matters: bool, unit_probability: bool
+    grid: GridSpec,
+    engine: Engine,
+    convention: Convention,
+    objective: Objective,
+    unit_probability: bool,
 ) -> tuple[float, float, int]:
     """The rotation axis a search evaluates, as an inclusive (lo, hi, steps).
 
-    The unit-probability search pins the angle to 0.  Where the objective
-    cannot read the angle (``eta_matters`` is false: physical-convention
-    probability and information), the structured engine evaluates the
-    one point ``eta_range[0]``: its grids are then bitwise the same along
-    the axis, so the full axis would return that point too, as ties go to
-    the smallest angle.  The pointwise engines keep the full axis.
+    The unit-probability search pins the angle to 0.  Under the physical
+    convention the structured engine evaluates one angle per theta:
+
+    - The probability and the information cannot read the angle, so it
+      evaluates ``eta_range[0]``: its grids are then bitwise the same along
+      the axis, so the full axis would return that point too, as ties go
+      to the smallest angle.
+    - The fidelity reads the angle only through the coherence term
+      (2 w cos eta)^N, w >= 0, added to terms that do not depend on it,
+      over a probability that does not either.  cos eta <= 1 = cos 0 and
+      rounding is monotone, so no angle beats eta = 0 and the ties go to
+      it.  When the axis starts at 0, it evaluates that one angle.
+
+    The pointwise engines keep the full axis.
     """
     if unit_probability:
         return (0.0, 0.0, 1)
-    if not eta_matters and engine is Engine.STRUCTURED:
+    if engine is Engine.STRUCTURED and convention is Convention.PHYSICAL:
         lo = grid.eta_range[0]
-        return (lo, lo, 1)
+        if objective is not Objective.FIDELITY:
+            return (lo, lo, 1)
+        if lo == 0.0:
+            return (0.0, 0.0, 1)
     return grid.eta_range
 
 
@@ -336,7 +352,10 @@ def _search(
     eta_matters = not unit_probability and (
         convention is not Convention.PHYSICAL or objective is Objective.FIDELITY
     )
-    axes = [grid.theta_range, _eta_axis(grid, engine, eta_matters, unit_probability)]
+    axes = [
+        grid.theta_range,
+        _eta_axis(grid, engine, convention, objective, unit_probability),
+    ]
     fields = (objective.value,) + (("probability",) if unit_probability else ())
     levels = np.arange(len(rs))
     r_col = np.array(rs, dtype=np.float64)[:, None, None]
@@ -459,7 +478,9 @@ def maximize_metric(
     fidelity only for ``fidelity``.
     Under the physical convention, where neither probability nor QFI
     depends on the rotation angle, it searches those two at the single
-    angle ``eta_range[0]``, which the full axis would also return.
+    angle ``eta_range[0]``, and the fidelity at the angle 0 when the
+    rotation range starts there; the full axis would return the same
+    point (see :func:`_eta_axis`).
     """
     objective = Objective(objective)
     r = _check_r(r)

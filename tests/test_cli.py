@@ -612,12 +612,12 @@ class TestUsageErrors:
             "of the structured engine\n"
         )
 
-    def test_dense_metrics_at_the_default_register_names_the_engine(self, capsys):
-        # The default register, n = 10, is above the dense engine's ceiling.
-        code, out, err = run_cli(capsys, ["metrics", "--engine", "dense"])
+    def test_dense_metrics_above_the_ceiling_names_the_engine(self, capsys):
+        # The dense engine's ceiling is the default register, n = 10.
+        code, out, err = run_cli(capsys, ["metrics", "--engine", "dense", "--n", "11"])
         assert (code, out) == (2, "")
         assert err == (
-            "error: n_qubits=10 exceeds the configured maximum 6 "
+            "error: n_qubits=11 exceeds the configured maximum 10 "
             "of the dense engine\n"
         )
 

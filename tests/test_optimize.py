@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ghzprotect import optimize, structured
-from ghzprotect.dense import aggregate_metrics_dense, do_nothing_baseline
+from ghzprotect.dense import DENSE_MAX_QUBITS, aggregate_metrics_dense, do_nothing_baseline
 from ghzprotect.optimize import (
     UNIT_PROBABILITY,
     ConstraintInfeasibleError,
@@ -626,13 +626,50 @@ class TestGridEvaluation:
         assert maximize_metric(Objective.QFI, 0.4, GHZ10) == expected
         assert powers == [(1, 181, 181), (1,), (1,)]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_physical_fidelity_search_pins_the_rotation_axis_at_zero(
+        self, monkeypatch, n
+    ):
+        # The physical fidelity peaks at eta = 0 for every theta, so the
+        # structured search evaluates that one angle and returns, field by
+        # field, what the search over the full axis does.
+        rs = [0.0, 0.1, 0.5, 0.9, 1.0]
+        p = dataclasses.replace(GHZ10, n_qubits=n, gamma=1.1)
+        points = []
+        real = optimize._aggregates
+
+        def counting(n, gamma, r, theta, eta, convention, **fields):
+            points.append(np.broadcast(r, theta, eta).size)
+            return real(n, gamma, r, theta, eta, convention, **fields)
+
+        monkeypatch.setattr(optimize, "_aggregates", counting)
+        run = lambda: sweep_r(  # noqa: E731
+            Objective.FIDELITY, rs, p, SMALL, convention=Convention.PHYSICAL
+        )
+        pinned = run()
+        assert sum(points) == len(rs) * 41 * (1 + SMALL.refine_iters)
+        assert {res.eta_star for res in pinned} == {0.0}
+        assert all(res.on_boundary for res in pinned)  # eta = 0 ends the range
+        monkeypatch.setattr(optimize, "_eta_axis", lambda grid, *args: grid.eta_range)
+        full = run()
+        for a, b in zip(pinned, full):
+            assert repr(a) == repr(b)
+
     def test_pointwise_engines_keep_the_full_rotation_axis(self):
         grid = GridSpec(
             theta_range=(0.0, math.pi, 3), eta_range=(0.0, 1.0, 3), refine_iters=0
         )
-        assert optimize._eta_axis(grid, Engine.DENSE, False, False) == (0.0, 1.0, 3)
-        assert optimize._eta_axis(grid, Engine.STRUCTURED, False, False) == (0.0, 0.0, 1)
-        assert optimize._eta_axis(grid, Engine.STRUCTURED, True, False) == (0.0, 1.0, 3)
+        shifted = dataclasses.replace(grid, eta_range=(0.5, 1.0, 3))
+        axis = optimize._eta_axis
+        physical, paper = Convention.PHYSICAL, Convention.PAPER
+        for objective in (Objective.PROBABILITY, Objective.FIDELITY, Objective.QFI):
+            assert axis(grid, Engine.DENSE, physical, objective, False) == (0.0, 1.0, 3)
+            assert axis(grid, Engine.STRUCTURED, paper, objective, False) == (0.0, 1.0, 3)
+            assert axis(grid, Engine.STRUCTURED, paper, objective, True) == (0.0, 0.0, 1)
+        assert axis(grid, Engine.STRUCTURED, physical, Objective.QFI, False) == (0.0, 0.0, 1)
+        assert axis(shifted, Engine.STRUCTURED, physical, Objective.QFI, False) == (0.5, 0.5, 1)
+        assert axis(grid, Engine.STRUCTURED, physical, Objective.FIDELITY, False) == (0.0, 0.0, 1)
+        assert axis(shifted, Engine.STRUCTURED, physical, Objective.FIDELITY, False) == (0.5, 1.0, 3)
 
 
 class TestRegisterCeiling:
@@ -668,13 +705,15 @@ class TestRegisterCeiling:
         assert calls == []
 
     @pytest.mark.parametrize("search", SEARCHES)
-    def test_dense_register_above_6_raises_before_any_point(self, monkeypatch, search):
+    def test_dense_register_above_the_ceiling_raises_before_any_point(
+        self, monkeypatch, search
+    ):
         calls = []
         monkeypatch.setattr(
             optimize, "aggregate_metrics_dense", lambda *args: calls.append(args)
         )
-        with pytest.raises(ValueError, match="n_qubits=7 exceeds the configured maximum 6"):
-            self.SEARCHES[search](ghz(7), engine=Engine.DENSE)
+        with pytest.raises(ValueError, match="n_qubits=11 exceeds the configured maximum 10"):
+            self.SEARCHES[search](ghz(DENSE_MAX_QUBITS + 1), engine=Engine.DENSE)
         assert calls == []
 
     def test_largest_structured_register_is_searched(self):
