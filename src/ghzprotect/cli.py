@@ -37,19 +37,20 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .closedform import VERBATIM_MAX_QUBITS, metrics_closedform
+from .dense import DENSE_MAX_QUBITS, aggregate_metrics_dense
 from .optimize import (
     UNIT_PROBABILITY,
     ConstraintInfeasibleError,
     GridSpec,
     Objective,
-    _check_engine,
-    _point_row,
     maximize_fidelity_at_unit_probability,
     maximize_metric,
     pareto_scan,
     sweep_r,
 )
 from .params import (
+    DEFAULT_MAX_QUBITS,
     TWO_PI,
     Convention,
     DegeneracyError,
@@ -57,6 +58,7 @@ from .params import (
     MetricsRow,
     ProtocolParams,
 )
+from .structured import aggregate_metrics
 from .validate import format_report, run_validation
 
 __all__ = ["ConfigError", "main"]
@@ -83,17 +85,18 @@ _GRID_KEYS = (
     "theta_max", "theta_min", "theta_steps",
 )
 _BASE_GRID_KEYS = tuple(k for k in _GRID_KEYS if not k.startswith("refine"))
-_ENGINE_KEYS = ("convention", "engine", "gamma", "n", "phi0")
+_MODEL_KEYS = ("convention", "gamma", "n", "phi0")
 _IO_KEYS = ("format", "output")
 
 #: The keys each command accepts, from a config file or as flags.
 _COMMAND_KEYS: dict[str, tuple[str, ...]] = {
-    "metrics": _ENGINE_KEYS + _IO_KEYS + _POINT_KEYS,
-    "optimize": _ENGINE_KEYS + _IO_KEYS + _GRID_KEYS
+    "metrics": ("convention", "engine", "gamma", "n", "phi0") + _IO_KEYS
+    + _POINT_KEYS,
+    "optimize": _MODEL_KEYS + _IO_KEYS + _GRID_KEYS
     + ("constraint", "objective", "r"),
-    "sweep": _ENGINE_KEYS + _IO_KEYS + _GRID_KEYS
+    "sweep": _MODEL_KEYS + _IO_KEYS + _GRID_KEYS
     + ("constraint", "objective", "r_from", "r_step", "r_to"),
-    "pareto": _ENGINE_KEYS + _IO_KEYS + _BASE_GRID_KEYS + ("r",),
+    "pareto": _MODEL_KEYS + _IO_KEYS + _BASE_GRID_KEYS + ("r",),
     "figure": ("gamma", "n", "phi0") + _IO_KEYS + _GRID_KEYS + ("id", "r"),
     "validate": ("output", "seed"),
 }
@@ -341,6 +344,14 @@ def _pareto_grid(cfg: dict) -> GridSpec:
     )
 
 
+#: The largest register each engine evaluates at one point.
+_ENGINE_MAX_QUBITS = {
+    Engine.STRUCTURED: DEFAULT_MAX_QUBITS,
+    Engine.DENSE: DENSE_MAX_QUBITS,
+    Engine.CLOSEDFORM_VERBATIM: VERBATIM_MAX_QUBITS,
+}
+
+
 def _run_metrics(cfg: dict) -> tuple[str, int]:
     """Evaluate one parameter point."""
     engine = Engine(cfg["engine"])
@@ -354,8 +365,23 @@ def _run_metrics(cfg: dict) -> tuple[str, int]:
         r=cfg["r"],
         extended_theta=True,
     )
-    _check_engine(p, engine, convention)
-    row = _point_row(p, engine, convention)
+    if engine is Engine.CLOSEDFORM_VERBATIM and convention is not Convention.PAPER:
+        raise ValueError(
+            "the closed-form engine evaluates the two-sided rotation algebra "
+            "and only supports the paper convention"
+        )
+    ceiling = _ENGINE_MAX_QUBITS[engine]
+    if p.n_qubits > ceiling:
+        raise ValueError(
+            f"n_qubits={p.n_qubits} exceeds the configured maximum {ceiling} "
+            f"of the {engine.value} engine"
+        )
+    if engine is Engine.STRUCTURED:
+        row = aggregate_metrics(p, convention)
+    elif engine is Engine.DENSE:
+        row = aggregate_metrics_dense(p, convention)
+    else:
+        row = metrics_closedform(p)
     cells = [
         row.engine.value, row.convention.value, row.r, row.theta, row.eta,
     ] + _metrics_cells(row)
@@ -365,8 +391,8 @@ def _run_metrics(cfg: dict) -> tuple[str, int]:
 
 def _optimize_result_cells(res) -> list:
     return [
-        res.objective.value, res.engine.value, res.convention.value, res.r,
-        res.theta_star, res.eta_star, res.value,
+        res.objective.value, res.companion.engine.value, res.convention.value,
+        res.r, res.theta_star, res.eta_star, res.value,
         res.companion.probability, res.companion.fidelity, res.companion.qfi,
         res.companion.imag_residual, res.on_boundary,
     ]
@@ -374,18 +400,16 @@ def _optimize_result_cells(res) -> list:
 
 def _run_optimize(cfg: dict) -> tuple[str, int]:
     """Maximize one metric on the angle grid."""
-    engine = Engine(cfg["engine"])
     convention = Convention(cfg["convention"])
     base = _base_params(cfg)
     grid = _grid_spec(cfg)
     if cfg["constraint"] == _UNIT_PROB_CONSTRAINT:
         res = maximize_fidelity_at_unit_probability(
-            cfg["r"], base, grid, engine=engine, convention=convention
+            cfg["r"], base, grid, convention=convention
         )
     else:
         res = maximize_metric(
-            Objective(cfg["objective"]), cfg["r"], base, grid,
-            engine=engine, convention=convention,
+            Objective(cfg["objective"]), cfg["r"], base, grid, convention=convention
         )
     text = _render_table(
         cfg, _schema(cfg), [], OPTIMIZE_COLUMNS, [_optimize_result_cells(res)]
@@ -415,11 +439,9 @@ def _sweep_mode(cfg: dict):
 
 def _run_sweep(cfg: dict) -> tuple[str, int]:
     """Repeat the maximization over a damping grid."""
-    engine = Engine(cfg["engine"])
-    convention = Convention(cfg["convention"])
     results = sweep_r(
         _sweep_mode(cfg), _sweep_r_grid(cfg), _base_params(cfg), _grid_spec(cfg),
-        engine=engine, convention=convention,
+        convention=Convention(cfg["convention"]),
     )
     rows = []
     for res in results:
@@ -433,15 +455,13 @@ def _run_sweep(cfg: dict) -> tuple[str, int]:
 
 def _run_pareto(cfg: dict) -> tuple[str, int]:
     """Fidelity/probability scatter over the angle grid."""
-    engine = Engine(cfg["engine"])
-    convention = Convention(cfg["convention"])
     scan = pareto_scan(
         cfg["r"], _base_params(cfg), _pareto_grid(cfg),
-        engine=engine, convention=convention,
+        convention=Convention(cfg["convention"]),
     )
     rows = [
         [
-            scan.engine.value, scan.convention.value, scan.r,
+            Engine.STRUCTURED.value, scan.convention.value, scan.r,
             pt.theta, pt.eta, pt.fidelity, pt.probability,
             scan.baseline_fidelity,
         ]
@@ -465,7 +485,7 @@ def _figure_sweep(cfg: dict, mode, gamma: float | None = None) -> list:
         base = dataclasses.replace(base, gamma=gamma)
     return sweep_r(
         mode, list(_FIGURE_R_GRID), base, _grid_spec(cfg),
-        engine=Engine.STRUCTURED, convention=Convention.PAPER,
+        convention=Convention.PAPER,
     )
 
 
@@ -513,7 +533,7 @@ def _run_figure(cfg: dict) -> tuple[str, int]:
     elif fig == "5":
         scan = pareto_scan(
             cfg["r"], _base_params(cfg), _pareto_grid(cfg),
-            engine=Engine.STRUCTURED, convention=Convention.PAPER,
+            convention=Convention.PAPER,
         )
         columns = ["theta", "eta", "fidelity", "probability", "fidelity_baseline"]
         rows = [

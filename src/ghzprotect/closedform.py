@@ -29,6 +29,11 @@ _DEGENERACY_TOL = 1e-14
 #: Real-part ceiling for the optimal-rotation identity check.
 _ETA_OPT_TOL = 1e-12
 
+#: Largest register of the printed fidelity and information: from N = 512
+#: the information's 4^N overflows a float (the fidelity's 2^(N+1) at
+#: N = 1023).
+VERBATIM_MAX_QUBITS = 511
+
 
 def pow_int(z: complex, n: int) -> complex:
     """z**n for non-negative integer n by repeated squaring.
@@ -103,7 +108,7 @@ def fid_total(p: ProtocolParams) -> complex:
 
     divided by the total weight.  Raises on vanishing total weight.
     """
-    validate_params(p, max_qubits=1 << 20)
+    validate_params(p, max_qubits=VERBATIM_MAX_QUBITS)
     n = p.n_qubits
     u = math.cos(p.theta / 2.0) ** 2
     v = math.sin(p.theta / 2.0) ** 2
@@ -137,7 +142,7 @@ def qfi_total(p: ProtocolParams) -> complex:
     producing a documented gap of N^2 2^{1-N} against the structured
     engine's paper-convention QFI at r=0, eta=0, theta=pi/2.
     """
-    validate_params(p, max_qubits=1 << 20)
+    validate_params(p, max_qubits=VERBATIM_MAX_QUBITS)
     n = p.n_qubits
     u = math.cos(p.theta / 2.0) ** 2
     v = math.sin(p.theta / 2.0) ** 2

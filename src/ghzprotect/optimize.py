@@ -22,8 +22,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .closedform import metrics_closedform
-from .dense import DENSE_MAX_QUBITS, aggregate_metrics_dense, do_nothing_baseline
+from .dense import do_nothing_baseline
 from .params import (
     DEFAULT_MAX_QUBITS,
     TWO_PI,
@@ -34,7 +33,7 @@ from .params import (
     ProtocolParams,
     validate_params,
 )
-from .structured import _aggregates, _paired_complex, aggregate_metrics
+from .structured import _aggregates, _paired_complex
 
 __all__ = [
     "Objective",
@@ -81,10 +80,9 @@ class GridSpec:
     ``refine_shrink`` (clamped to the original range), so the full-axis
     evaluation budget is ``steps_theta * steps_eta * (1 + refine_iters)``.
     Searches whose best angle is known evaluate one angle per grid (the
-    unit-probability search, and the structured engine's
-    physical-convention searches; the fidelity's only when the rotation
-    range starts at 0), so they visit ``steps_theta * (1 + refine_iters)``
-    points.
+    unit-probability search, and the physical-convention searches; the
+    fidelity's only when the rotation range starts at 0), so they visit
+    ``steps_theta * (1 + refine_iters)`` points.
     """
 
     theta_range: tuple[float, float, int] = (0.0, math.pi, 181)
@@ -127,11 +125,9 @@ class GridSpec:
 class OptResult:
     """Best grid point found for one decay probability.
 
-    ``value`` is the maximized metric re-evaluated through the scalar
-    path of the requested engine at ``(theta_star, eta_star)``, so it
-    always equals the corresponding field of ``companion`` exactly.  The
-    structured engine re-evaluates all levels of a search in one paired
-    call, and each ``companion`` is the row
+    ``value`` is the maximized metric of ``companion``, the structured
+    engine's row at ``(theta_star, eta_star)``: all levels of a search are
+    re-evaluated in one paired call, and each ``companion`` is the row
     :func:`~ghzprotect.structured.aggregate_metrics` gives at its point,
     bit for bit.
     ``on_boundary`` flags an optimum sitting on an edge of the original
@@ -149,7 +145,6 @@ class OptResult:
     eta_star: float
     value: float
     companion: MetricsRow
-    engine: Engine
     convention: Convention
     on_boundary: bool
     baseline: Optional[MetricsRow] = None
@@ -169,7 +164,6 @@ class ParetoScanResult:
     r: float
     points: list[ParetoPoint]
     baseline_fidelity: float
-    engine: Engine
     convention: Convention
 
 
@@ -180,45 +174,17 @@ def _check_r(r: float) -> float:
     return r
 
 
-def _check_engine(
-    p_base: ProtocolParams, engine: Engine, convention: Convention
-) -> None:
-    """Refuse, before any grid, what the engine's scalar path would refuse.
+def _check_register(p_base: ProtocolParams) -> None:
+    """Refuse, before any grid, a register above the structured engine's ceiling.
 
-    That is the closed-form engine under the physical convention, and a
-    register above the structured or dense engine's qubit ceiling: the
-    structured grids never reach the scalar path's check.  The ceiling
-    error names the engine.  The closed-form scalar path checks its own
-    ceiling at the first point.
+    The grids never reach the scalar path's check, so it is made here.
     """
-    if engine is Engine.CLOSEDFORM_VERBATIM and convention is not Convention.PAPER:
+    if p_base.n_qubits > DEFAULT_MAX_QUBITS:
         raise ValueError(
-            "the closed-form engine evaluates the two-sided rotation algebra "
-            "and only supports the paper convention"
+            f"n_qubits={p_base.n_qubits} exceeds the configured maximum "
+            f"{DEFAULT_MAX_QUBITS} of the {Engine.STRUCTURED.value} engine"
         )
-    ceiling = {
-        Engine.STRUCTURED: DEFAULT_MAX_QUBITS, Engine.DENSE: DENSE_MAX_QUBITS
-    }.get(engine)
-    if ceiling is not None:
-        if p_base.n_qubits > ceiling:
-            raise ValueError(
-                f"n_qubits={p_base.n_qubits} exceeds the configured maximum "
-                f"{ceiling} of the {engine.value} engine"
-            )
-        validate_params(p_base, max_qubits=ceiling)
-
-
-def _point_row(
-    p: ProtocolParams, engine: Engine, convention: Convention
-) -> MetricsRow:
-    """One metrics row through the scalar path of the requested engine."""
-    if engine is Engine.STRUCTURED:
-        return aggregate_metrics(p, convention)
-    if engine is Engine.DENSE:
-        return aggregate_metrics_dense(p, convention)
-    if engine is Engine.CLOSEDFORM_VERBATIM:
-        return metrics_closedform(p)
-    raise ValueError(f"unsupported engine: {engine!r}")
+    validate_params(p_base, max_qubits=DEFAULT_MAX_QUBITS)
 
 
 def _grid_values(
@@ -226,48 +192,29 @@ def _grid_values(
     r,
     thetas,
     etas,
-    engine: Engine,
     convention: Convention,
     fields: tuple[str, ...],
 ) -> dict[str, np.ndarray]:
     """Real grids of the named ``fields`` at broadcast (r, theta, eta) points.
 
     ``fields`` names :class:`MetricsRow` metrics (``probability``,
-    ``fidelity``, ``qfi``), and only those come back, keyed by name.  The
-    structured engine evaluates all points in one vectorized pass that
-    computes only the fields asked for, plus the probability where the
-    others need its undefined points (see
-    :func:`~ghzprotect.structured._aggregates`): the fidelity only if
-    named, the QFI class sum only if named.  The other engines are
-    evaluated pointwise.  Points whose record-average is
-    numerically undefined come back as NaN.
+    ``fidelity``, ``qfi``), and only those come back, keyed by name.  All
+    points are evaluated in one vectorized pass that computes only the
+    fields asked for, plus the probability where the others need its
+    undefined points (see :func:`~ghzprotect.structured._aggregates`): the
+    fidelity only if named, the QFI class sum only if named.  Points whose
+    record-average is numerically undefined come back as NaN.
     """
-    if engine is Engine.STRUCTURED:
-        grids = _aggregates(
-            p_base.n_qubits, p_base.gamma, r, thetas, etas, convention,
-            probability="probability" in fields, fidelity="fidelity" in fields,
-            qfi="qfi" in fields,
-        )
-        return {
-            name: np.ascontiguousarray(grid.real)
-            for name, grid in zip(("probability", "fidelity", "qfi"), grids)
-            if name in fields
-        }
-
-    rs, thetas, etas = np.broadcast_arrays(r, thetas, etas)
-    grids = {name: np.full(thetas.shape, math.nan) for name in fields}
-    for i in np.ndindex(thetas.shape):
-        p = dataclasses.replace(
-            p_base, theta=float(thetas[i]), eta=float(etas[i]), r=float(rs[i]),
-            extended_theta=True,
-        )
-        try:
-            row = _point_row(p, engine, convention)
-        except DegeneracyError:
-            continue
-        for name, grid in grids.items():
-            grid[i] = getattr(row, name)
-    return grids
+    grids = _aggregates(
+        p_base.n_qubits, p_base.gamma, r, thetas, etas, convention,
+        probability="probability" in fields, fidelity="fidelity" in fields,
+        qfi="qfi" in fields,
+    )
+    return {
+        name: np.ascontiguousarray(grid.real)
+        for name, grid in zip(("probability", "fidelity", "qfi"), grids)
+        if name in fields
+    }
 
 
 def _best_per_level(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +233,6 @@ def _best_per_level(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eta_axis(
     grid: GridSpec,
-    engine: Engine,
     convention: Convention,
     objective: Objective,
     unit_probability: bool,
@@ -294,7 +240,7 @@ def _eta_axis(
     """The rotation axis a search evaluates, as an inclusive (lo, hi, steps).
 
     The unit-probability search pins the angle to 0.  Under the physical
-    convention the structured engine evaluates one angle per theta:
+    convention the search evaluates one angle per theta:
 
     - The probability and the information cannot read the angle, so it
       evaluates ``eta_range[0]``: its grids are then bitwise the same along
@@ -305,12 +251,10 @@ def _eta_axis(
       over a probability that does not either.  cos eta <= 1 = cos 0 and
       rounding is monotone, so no angle beats eta = 0 and the ties go to
       it.  When the axis starts at 0, it evaluates that one angle.
-
-    The pointwise engines keep the full axis.
     """
     if unit_probability:
         return (0.0, 0.0, 1)
-    if engine is Engine.STRUCTURED and convention is Convention.PHYSICAL:
+    if convention is Convention.PHYSICAL:
         lo = grid.eta_range[0]
         if objective is not Objective.FIDELITY:
             return (lo, lo, 1)
@@ -323,7 +267,6 @@ def _search(
     rs: Sequence[float],
     p_base: ProtocolParams,
     grid: GridSpec,
-    engine: Engine,
     convention: Convention,
     objective: Objective,
     unit_probability: bool = False,
@@ -340,21 +283,18 @@ def _search(
     rotation axis is the single point 0 and only points with
     ``|probability - 1| < 1e-9`` compete.  The grids hold only the fields
     the search reads (:func:`_grid_values`), and the rotation axis is the
-    one :func:`_eta_axis` gives.  The incumbents are re-evaluated through
-    the scalar path of ``engine``: the structured engine takes every
-    level's incumbent in one paired call
-    (:func:`~ghzprotect.structured._paired_complex`), each with the bits
-    of :func:`~ghzprotect.structured.aggregate_metrics` at its point; the
-    other engines take one :func:`_point_row` per level.  Results, and the
-    errors of the re-evaluation and of a level with no candidate, come in
-    the order of ``rs``.
+    one :func:`_eta_axis` gives.  Every level's incumbent is re-evaluated
+    in one paired call (:func:`~ghzprotect.structured._paired_complex`),
+    each with the bits of :func:`~ghzprotect.structured.aggregate_metrics`
+    at its point.  Results, and the errors of the re-evaluation and of a
+    level with no candidate, come in the order of ``rs``.
     """
     eta_matters = not unit_probability and (
         convention is not Convention.PHYSICAL or objective is Objective.FIDELITY
     )
     axes = [
         grid.theta_range,
-        _eta_axis(grid, engine, convention, objective, unit_probability),
+        _eta_axis(grid, convention, objective, unit_probability),
     ]
     fields = (objective.value,) + (("probability",) if unit_probability else ())
     levels = np.arange(len(rs))
@@ -375,8 +315,7 @@ def _search(
             for (lo, hi), (_, _, steps) in zip(windows, axes)
         )
         grids = _grid_values(
-            p_base, r_col, thetas[:, :, None], etas[:, None, :], engine, convention,
-            fields,
+            p_base, r_col, thetas[:, :, None], etas[:, None, :], convention, fields
         )
         values = grids[objective.value]
         if unit_probability:
@@ -404,23 +343,11 @@ def _search(
         (r, float(best[0][level]), float(best[1][level]))
         for level, r in enumerate(rs[:searched])
     ]
-    if engine is Engine.STRUCTURED:
-        paired = _paired_complex(p_base, stars, convention)
-        companions = (
-            MetricsRow.realized(star, aggregates, convention, engine)
-            for star, aggregates in zip(stars, paired)
-        )
-    else:
-        companions = (
-            _point_row(
-                dataclasses.replace(
-                    p_base, theta=theta, eta=eta, r=r, extended_theta=True
-                ),
-                engine,
-                convention,
-            )
-            for r, theta, eta in stars
-        )
+    paired = _paired_complex(p_base, stars, convention)
+    companions = (
+        MetricsRow.realized(star, aggregates, convention, Engine.STRUCTURED)
+        for star, aggregates in zip(stars, paired)
+    )
     th_lo, th_hi, _ = grid.theta_range
     et_lo, et_hi, _ = grid.eta_range
     results = []
@@ -440,7 +367,6 @@ def _search(
                 eta_star=eta_star,
                 value=getattr(companion, objective.value),
                 companion=companion,
-                engine=engine,
                 convention=convention,
                 on_boundary=theta_star in (th_lo, th_hi)
                 or (eta_matters and eta_star in (et_lo, et_hi)),
@@ -463,36 +389,36 @@ def maximize_metric(
     r: float,
     p_base: ProtocolParams,
     grid: GridSpec = GridSpec(),
-    engine: Engine = Engine.STRUCTURED,
+    *,
     convention: Convention = Convention.PAPER,
 ) -> OptResult:
     """Maximize one metric over the (theta, eta) grid at decay level ``r``.
 
     ``p_base`` supplies the register size and input amplitudes; its own
     angles and decay probability are ignored; a register above the
-    engine's qubit ceiling raises ``ValueError`` before any grid is
-    evaluated.  Grid points whose metrics are numerically undefined are
-    skipped; if no point at all is evaluable a :class:`DegeneracyError`
-    propagates.  The structured engine computes on the grid only the
-    field the objective reads: the QFI class sum only for ``qfi``, the
-    fidelity only for ``fidelity``.
+    structured engine's qubit ceiling raises ``ValueError`` before any
+    grid is evaluated.  Grid points whose metrics are numerically
+    undefined are skipped; if no point at all is evaluable a
+    :class:`DegeneracyError` propagates.  The grid holds only the field
+    the objective reads: the QFI class sum only for ``qfi``, the fidelity
+    only for ``fidelity``.
     Under the physical convention, where neither probability nor QFI
-    depends on the rotation angle, it searches those two at the single
+    depends on the rotation angle, the search takes those two at the single
     angle ``eta_range[0]``, and the fidelity at the angle 0 when the
     rotation range starts there; the full axis would return the same
     point (see :func:`_eta_axis`).
     """
     objective = Objective(objective)
     r = _check_r(r)
-    _check_engine(p_base, engine, convention)
-    return _search([r], p_base, grid, engine, convention, objective)[0]
+    _check_register(p_base)
+    return _search([r], p_base, grid, convention, objective)[0]
 
 
 def maximize_fidelity_at_unit_probability(
     r: float,
     p_base: ProtocolParams,
     grid: GridSpec = GridSpec(),
-    engine: Engine = Engine.STRUCTURED,
+    *,
     convention: Convention = Convention.PAPER,
 ) -> OptResult:
     """Best fidelity among deterministic protocol settings.
@@ -506,9 +432,9 @@ def maximize_fidelity_at_unit_probability(
     :func:`sweep_r` runs for a whole decay grid at once, with one level.
     """
     r = _check_r(r)
-    _check_engine(p_base, engine, convention)
+    _check_register(p_base)
     return _search(
-        [r], p_base, grid, engine, convention, Objective.FIDELITY, unit_probability=True
+        [r], p_base, grid, convention, Objective.FIDELITY, unit_probability=True
     )[0]
 
 
@@ -518,7 +444,7 @@ def pareto_scan(
     grid: GridSpec = GridSpec(
         theta_range=(0.0, math.pi, 181), eta_range=(0.0, math.pi, 181)
     ),
-    engine: Engine = Engine.STRUCTURED,
+    *,
     convention: Convention = Convention.PAPER,
 ) -> ParetoScanResult:
     """(fidelity, probability) at every point of one angle grid.
@@ -529,7 +455,7 @@ def pareto_scan(
     carries the no-protection fidelity as the reference line.
     """
     r = _check_r(r)
-    _check_engine(p_base, engine, convention)
+    _check_register(p_base)
     for name, rng in (("theta_range", grid.theta_range), ("eta_range", grid.eta_range)):
         if rng[0] < 0.0 or rng[1] > math.pi:
             raise ValueError(f"pareto scan requires {name} within [0, pi], got {rng}")
@@ -537,7 +463,7 @@ def pareto_scan(
     thetas = np.linspace(*grid.theta_range)
     etas = np.linspace(*grid.eta_range)
     grids = _grid_values(
-        p_base, r, thetas[:, None], etas[None, :], engine, convention,
+        p_base, r, thetas[:, None], etas[None, :], convention,
         ("probability", "fidelity"),
     )
     prob, fid = grids["probability"], grids["fidelity"]
@@ -554,7 +480,6 @@ def pareto_scan(
         r=r,
         points=points,
         baseline_fidelity=reference.fidelity,
-        engine=engine,
         convention=convention,
     )
 
@@ -564,7 +489,7 @@ def sweep_r(
     r_grid: Union[Sequence[float], Iterable[float]],
     p_base: ProtocolParams,
     grid: GridSpec = GridSpec(),
-    engine: Engine = Engine.STRUCTURED,
+    *,
     convention: Convention = Convention.PAPER,
 ) -> list[OptResult]:
     """One optimization per decay level, with the no-protection reference.
@@ -584,17 +509,16 @@ def sweep_r(
         raise ValueError("r_grid must contain at least one value")
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_grid must be strictly increasing")
-    _check_engine(p_base, engine, convention)
+    _check_register(p_base)
 
     if mode == UNIT_PROBABILITY:
         results = _search(
-            rs, p_base, grid, engine, convention, Objective.FIDELITY,
-            unit_probability=True,
+            rs, p_base, grid, convention, Objective.FIDELITY, unit_probability=True
         )
     else:
         objective = Objective(mode)
         results = [
-            maximize_metric(objective, r, p_base, grid, engine, convention)
+            maximize_metric(objective, r, p_base, grid, convention=convention)
             for r in rs
         ]
     return [

@@ -272,6 +272,41 @@ class TestJsonFormat:
         assert float(rows[0]["qfi"]) == record["qfi"]
 
 
+#: Small runs of the three search commands, which take no engine key.
+SEARCH_RUNS = {
+    "optimize": ["optimize", "--r", "0.3"] + COARSE,
+    "sweep": ["sweep", "--r-from", "0.1", "--r-to", "0.2", "--r-step", "0.1"] + COARSE,
+    "pareto": ["pareto", "--theta-steps", "5", "--eta-steps", "5"],
+}
+
+
+class TestSearchCommandsTakeNoEngine:
+    """Searches run on the structured engine alone; only `metrics` picks one."""
+
+    @pytest.mark.parametrize("command", SEARCH_RUNS)
+    def test_output_keeps_the_engine_column_without_an_engine_key(
+        self, capsys, command
+    ):
+        code, out, _ = run_cli(capsys, SEARCH_RUNS[command])
+        assert code == 0
+        assert "engine" not in header_block(out)
+        _, rows = parse_table(out)
+        assert rows and {row["engine"] for row in rows} == {"structured"}
+
+    @pytest.mark.parametrize("command", SEARCH_RUNS)
+    def test_engine_flag_and_key_exit_2(self, capsys, tmp_path, command):
+        argv = SEARCH_RUNS[command]
+        code, out, _ = run_cli(capsys, argv + ["--engine", "structured"])
+        assert (code, out) == (2, "")
+        config = tmp_path / "old.cfg"
+        config.write_text("engine=structured\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, argv + ["--config", str(config)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: key 'engine' is not accepted by command {command!r}\n"
+        )
+
+
 class TestOptimizeCommand:
     def test_constrained_fidelity_example(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -619,6 +654,23 @@ class TestUsageErrors:
         assert err == (
             "error: n_qubits=11 exceeds the configured maximum 10 "
             "of the dense engine\n"
+        )
+
+    def test_closedform_metrics_at_and_above_its_ceiling(self, capsys):
+        # From N = 512 the printed information's 4^N overflows a float.
+        code, out, _ = run_cli(capsys, [
+            "metrics", "--engine", "closedform_verbatim", "--n", "511",
+        ])
+        assert code == 0
+        (row,) = parse_table(out)[1]
+        assert row["engine"] == "closedform_verbatim"
+        code, out, err = run_cli(capsys, [
+            "metrics", "--engine", "closedform_verbatim", "--n", "512",
+        ])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: n_qubits=512 exceeds the configured maximum 511 "
+            "of the closedform_verbatim engine\n"
         )
 
     def test_help_exits_0(self, capsys):

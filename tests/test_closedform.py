@@ -220,6 +220,17 @@ class TestMetricsClosedform:
         assert row.engine is Engine.CLOSEDFORM_VERBATIM
         assert row.convention is Convention.PAPER
 
+    def test_largest_register_of_the_printed_formulas(self):
+        # From N = 512 the information's printed 4^N overflows a float;
+        # the fidelity and the information refuse such a register.
+        p = make_params(n_qubits=closedform.VERBATIM_MAX_QUBITS, r=0.5)
+        row = metrics_closedform(p)
+        assert math.isfinite(row.fidelity) and math.isfinite(row.qfi)
+        above = make_params(n_qubits=closedform.VERBATIM_MAX_QUBITS + 1, r=0.5)
+        for formula in (fid_total, qfi_total, metrics_closedform):
+            with pytest.raises(ValueError, match="n_qubits=512 exceeds .* 511"):
+                formula(above)
+
 
 def test_closedform_imports_no_engine():
     # The printed formulas are what the engines are checked against, so

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ghzprotect import optimize, structured
-from ghzprotect.dense import DENSE_MAX_QUBITS, aggregate_metrics_dense, do_nothing_baseline
+from ghzprotect.dense import aggregate_metrics_dense, do_nothing_baseline
 from ghzprotect.optimize import (
     UNIT_PROBABILITY,
     ConstraintInfeasibleError,
@@ -189,44 +189,21 @@ class TestMaximizeMetric:
             dense_row = aggregate_metrics_dense(point, convention)
             assert abs(res.value - dense_row.fidelity) < 1e-8
 
-    def test_dense_engine_agrees_with_structured(self):
-        # The fidelity surface is mirror-symmetric in the rotation angle,
-        # so engine-specific rounding may break the tie toward either
-        # mirror copy; only the achieved values must agree.
-        grid = GridSpec(
-            theta_range=(0.0, math.pi, 9),
-            eta_range=(0.0, 2.0 * math.pi, 9),
-            refine_iters=1,
-        )
-        dense = maximize_metric(
-            Objective.FIDELITY, 0.2, ghz(2), grid, engine=Engine.DENSE
-        )
-        structured = maximize_metric(Objective.FIDELITY, 0.2, ghz(2), grid)
-        assert abs(dense.theta_star - structured.theta_star) < 1e-12
-        assert abs(dense.value - structured.value) < 1e-9
-        point = ProtocolParams(
-            n_qubits=2,
-            gamma=math.pi / 2,
-            phi0=0.0,
-            theta=dense.theta_star,
-            eta=dense.eta_star,
-            r=0.2,
-            extended_theta=True,
-        )
-        assert abs(
-            aggregate_metrics(point, Convention.PAPER).fidelity - dense.value
-        ) < 1e-9
-
-    def test_closedform_engine_requires_paper_convention(self):
-        with pytest.raises(ValueError):
-            maximize_metric(
-                Objective.QFI,
-                0.3,
-                GHZ10,
-                SMALL,
-                engine=Engine.CLOSEDFORM_VERBATIM,
-                convention=Convention.PHYSICAL,
-            )
+    def test_engine_where_the_convention_was_is_refused(self):
+        # Searches run on the structured engine alone and take the
+        # convention by keyword only, so a call that still passes an
+        # engine in its place cannot bind it as the convention.
+        calls = [
+            lambda: maximize_metric(Objective.QFI, 0.3, GHZ10, SMALL, Engine.DENSE),
+            lambda: maximize_fidelity_at_unit_probability(
+                0.3, GHZ10, SMALL, Engine.DENSE
+            ),
+            lambda: pareto_scan(0.3, GHZ10, TestParetoScan.GRID, Engine.DENSE),
+            lambda: sweep_r(Objective.QFI, [0.3], GHZ10, SMALL, Engine.DENSE),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -362,26 +339,17 @@ class TestParetoScan:
             pareto_scan(0.5, GHZ10, GridSpec())
 
 
-#: (id, r grid, base, grid, engine, convention) of the sweep-equals-searches test.
+#: (id, r grid, base, grid, convention) of the sweep-equals-searches test.
 SWEEP_CASES = [
     (
         "structured-paper", [0.0, 0.15, 0.4, 0.7, 1.0], ghz(10, math.pi / 3), SMALL,
-        Engine.STRUCTURED, Convention.PAPER,
+        Convention.PAPER,
     ),
     (
         "structured-physical", [0.0, 0.15, 0.4, 0.7, 1.0], ghz(10, math.pi / 3), SMALL,
-        Engine.STRUCTURED, Convention.PHYSICAL,
+        Convention.PHYSICAL,
     ),
-    (
-        "dense-n4", [0.05, 0.3, 0.6], ghz(4),
-        GridSpec(
-            theta_range=(0.0, math.pi, 11),
-            eta_range=(0.0, 2.0 * math.pi, 2),
-            refine_iters=2,
-        ),
-        Engine.DENSE, Convention.PAPER,
-    ),
-    ("one-level", [0.35], GHZ10, SMALL, Engine.STRUCTURED, Convention.PAPER),
+    ("one-level", [0.35], GHZ10, SMALL, Convention.PAPER),
 ]
 
 
@@ -424,7 +392,7 @@ class TestSweep:
         assert res.baseline == direct
 
     @pytest.mark.parametrize(
-        ("mode", "rs", "p_base", "grid", "engine", "convention"),
+        ("mode", "rs", "p_base", "grid", "convention"),
         [
             pytest.param(
                 mode, *case[1:],
@@ -435,19 +403,19 @@ class TestSweep:
         ],
     )
     def test_unit_probability_sweep_is_one_search_per_level(
-        self, mode, rs, p_base, grid, engine, convention
+        self, mode, rs, p_base, grid, convention
     ):
         # A sweep returns, field for field, what one search per decay level
         # returns: the batched constrained search, or one free maximization
         # per level.
-        swept = sweep_r(mode, rs, p_base, grid, engine, convention)
+        swept = sweep_r(mode, rs, p_base, grid, convention=convention)
         expected = [
             dataclasses.replace(
                 maximize_fidelity_at_unit_probability(
-                    r, p_base, grid, engine, convention
+                    r, p_base, grid, convention=convention
                 )
                 if mode == UNIT_PROBABILITY
-                else maximize_metric(mode, r, p_base, grid, engine, convention),
+                else maximize_metric(mode, r, p_base, grid, convention=convention),
                 baseline=do_nothing_baseline(
                     dataclasses.replace(p_base, theta=math.pi / 2, eta=0.0, r=r)
                 ),
@@ -480,7 +448,6 @@ class TestSweep:
             return aggregate_metrics(*args, **kwargs)
 
         monkeypatch.setattr(structured, "aggregate_metrics", counted)
-        monkeypatch.setattr(optimize, "aggregate_metrics", counted)
         assert sweep_r(UNIT_PROBABILITY, UNIT_LEVELS, GHZ10, SMALL) == expected
         assert calls == []
 
@@ -655,7 +622,7 @@ class TestGridEvaluation:
         for a, b in zip(pinned, full):
             assert repr(a) == repr(b)
 
-    def test_pointwise_engines_keep_the_full_rotation_axis(self):
+    def test_paper_searches_keep_the_full_rotation_axis(self):
         grid = GridSpec(
             theta_range=(0.0, math.pi, 3), eta_range=(0.0, 1.0, 3), refine_iters=0
         )
@@ -663,13 +630,13 @@ class TestGridEvaluation:
         axis = optimize._eta_axis
         physical, paper = Convention.PHYSICAL, Convention.PAPER
         for objective in (Objective.PROBABILITY, Objective.FIDELITY, Objective.QFI):
-            assert axis(grid, Engine.DENSE, physical, objective, False) == (0.0, 1.0, 3)
-            assert axis(grid, Engine.STRUCTURED, paper, objective, False) == (0.0, 1.0, 3)
-            assert axis(grid, Engine.STRUCTURED, paper, objective, True) == (0.0, 0.0, 1)
-        assert axis(grid, Engine.STRUCTURED, physical, Objective.QFI, False) == (0.0, 0.0, 1)
-        assert axis(shifted, Engine.STRUCTURED, physical, Objective.QFI, False) == (0.5, 0.5, 1)
-        assert axis(grid, Engine.STRUCTURED, physical, Objective.FIDELITY, False) == (0.0, 0.0, 1)
-        assert axis(shifted, Engine.STRUCTURED, physical, Objective.FIDELITY, False) == (0.5, 1.0, 3)
+            assert axis(grid, paper, objective, False) == (0.0, 1.0, 3)
+            assert axis(grid, paper, objective, True) == (0.0, 0.0, 1)
+            assert axis(grid, physical, objective, True) == (0.0, 0.0, 1)
+        assert axis(grid, physical, Objective.QFI, False) == (0.0, 0.0, 1)
+        assert axis(shifted, physical, Objective.QFI, False) == (0.5, 0.5, 1)
+        assert axis(grid, physical, Objective.FIDELITY, False) == (0.0, 0.0, 1)
+        assert axis(shifted, physical, Objective.FIDELITY, False) == (0.5, 1.0, 3)
 
 
 class TestRegisterCeiling:
@@ -702,18 +669,6 @@ class TestRegisterCeiling:
         monkeypatch.setattr(structured, "_aggregates", counting)
         with pytest.raises(ValueError, match="n_qubits=65 exceeds the configured maximum 64"):
             self.SEARCHES[search](ghz(65))
-        assert calls == []
-
-    @pytest.mark.parametrize("search", SEARCHES)
-    def test_dense_register_above_the_ceiling_raises_before_any_point(
-        self, monkeypatch, search
-    ):
-        calls = []
-        monkeypatch.setattr(
-            optimize, "aggregate_metrics_dense", lambda *args: calls.append(args)
-        )
-        with pytest.raises(ValueError, match="n_qubits=11 exceeds the configured maximum 10"):
-            self.SEARCHES[search](ghz(DENSE_MAX_QUBITS + 1), engine=Engine.DENSE)
         assert calls == []
 
     def test_largest_structured_register_is_searched(self):
