@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from ghzprotect import optimize, structured
-from ghzprotect.dense import aggregate_metrics_dense, do_nothing_baseline
+from ghzprotect.dense import DENSE_MAX_QUBITS, aggregate_metrics_dense, do_nothing_baseline
 from ghzprotect.optimize import (
     UNIT_PROBABILITY,
     ConstraintInfeasibleError,
     GridSpec,
     Objective,
     OptResult,
+    ParetoScanResult,
     _best_per_level,
     maximize_fidelity_at_unit_probability,
     maximize_metric,
@@ -349,6 +350,15 @@ SWEEP_CASES = [
         "structured-physical", [0.0, 0.15, 0.4, 0.7, 1.0], ghz(10, math.pi / 3), SMALL,
         Convention.PHYSICAL,
     ),
+    (
+        "n4-two-eta-points", [0.05, 0.3, 0.6], ghz(4),
+        GridSpec(
+            theta_range=(0.0, math.pi, 11),
+            eta_range=(0.0, 2.0 * math.pi, 2),
+            refine_iters=2,
+        ),
+        Convention.PAPER,
+    ),
     ("one-level", [0.35], GHZ10, SMALL, Convention.PAPER),
 ]
 
@@ -670,6 +680,32 @@ class TestRegisterCeiling:
         with pytest.raises(ValueError, match="n_qubits=65 exceeds the configured maximum 64"):
             self.SEARCHES[search](ghz(65))
         assert calls == []
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_register_above_the_dense_ceiling_is_searched_on_the_structured_engine(
+        self, search
+    ):
+        p_base = ghz(DENSE_MAX_QUBITS + 1)
+        result = self.SEARCHES[search](p_base)
+        if isinstance(result, ParetoScanResult):
+            assert result.points
+            for pt in (result.points[0], result.points[-1]):
+                row = aggregate_metrics(
+                    dataclasses.replace(
+                        p_base, theta=pt.theta, eta=pt.eta, r=0.3, extended_theta=True
+                    ),
+                    Convention.PAPER,
+                )
+                assert row.engine is Engine.STRUCTURED
+                assert (row.fidelity, row.probability) == pytest.approx(
+                    (pt.fidelity, pt.probability), rel=1e-12
+                )
+            return
+        results = result if isinstance(result, list) else [result]
+        assert results
+        for res in results:
+            assert res.companion.engine is Engine.STRUCTURED
+            assert math.isfinite(res.value)
 
     def test_largest_structured_register_is_searched(self):
         res = maximize_metric(Objective.PROBABILITY, 0.3, ghz(64), SMALL)
