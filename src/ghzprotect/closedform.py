@@ -2,6 +2,8 @@
 
 Each aggregate function computes one printed expression for the total
 probability, fidelity, or Fisher information, and nothing else.  The
+weight's product form and the optimal rotation broadcast over numpy
+arrays; on floats they keep the bits of the math/cmath expressions.  The
 appendix aggregates they are checked against (binomial-collapsed
 probability and fidelity, the per-class sum for the information) are the
 structured engine's paper-convention numbers, which this module does not
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 from ghzprotect.params import (
     Convention,
@@ -35,20 +39,19 @@ _ETA_OPT_TOL = 1e-12
 VERBATIM_MAX_QUBITS = 511
 
 
-def pow_int(z: complex, n: int) -> complex:
-    """z**n for non-negative integer n by repeated squaring.
+def pow_int(z, n: int):
+    """z**n for non-negative integer n by repeated squaring, elementwise for arrays.
 
     Stays on the multiplicative path for any exponent (no log/exp branch),
     so thousand-fold powers keep full precision and z=0 is exact.
     """
     if n < 0:
         raise ValueError(f"exponent must be non-negative, got {n}")
-    result = complex(1.0)
-    base = complex(z)
+    result, base = 1.0 + 0.0j, z
     while n:
         if n & 1:
-            result *= base
-        base *= base
+            result = result * base
+        base = base * base
         n >>= 1
     return result
 
@@ -80,21 +83,21 @@ def class_probability(p: ProtocolParams, k: int) -> complex:
     )
 
 
-def prob_total(p: ProtocolParams) -> complex:
-    """Record-summed total weight.
-
-    The binomial-collapsed product form
+def prob_product(n: int, theta, eta, r):
+    """The binomial-collapsed product form of the total weight, broadcast over theta, eta, r:
 
         ((r e^{i eta} + (1-r) e^{-i eta}) sin^2(theta/2)
           + e^{i eta} cos^2(theta/2))^N.
     """
+    u, v = np.cos(theta / 2.0) ** 2, np.sin(theta / 2.0) ** 2
+    zp, zm = np.exp(1j * eta), np.exp(-1j * eta)
+    return pow_int((r * zp + (1.0 - r) * zm) * v + zp * u, n)
+
+
+def prob_total(p: ProtocolParams) -> complex:
+    """Record-summed total weight, :func:`prob_product` at one point."""
     validate_params(p, max_qubits=1 << 20)
-    u = math.cos(p.theta / 2.0) ** 2
-    v = math.sin(p.theta / 2.0) ** 2
-    zp = cmath.exp(1j * p.eta)
-    zm = cmath.exp(-1j * p.eta)
-    base = (p.r * zp + (1.0 - p.r) * zm) * v + zp * u
-    return pow_int(base, p.n_qubits)
+    return complex(prob_product(p.n_qubits, p.theta, p.eta, p.r))
 
 
 def fid_total(p: ProtocolParams) -> complex:
@@ -154,6 +157,9 @@ def qfi_total(p: ProtocolParams) -> complex:
         4.0 * c2 * s2 * (1.0 - p.r) ** n
         * math.sin(p.theta) ** (2 * n) / 4.0**n * n**2
     )
+    if numerator == 0.0 and p.r < 1.0 and 0.0 < p.theta < math.pi:  # not a true 0
+        raise DegeneracyError(f"the information numerator 4|alpha beta|^2 (1-r)^N sin^2N(theta) "
+                              f"N^2 / 4^N underflows to 0 at N={n}, theta={p.theta}, r={p.r}")
 
     def term(denom: complex) -> complex:
         if numerator == 0.0:
@@ -180,36 +186,36 @@ def qfi_total(p: ProtocolParams) -> complex:
     return total
 
 
-def eta_opt_probability(r: float, theta: float) -> float:
-    """Rotation angle that keeps the record-summed weight at 1.
+def eta_opt_probability(r, theta):
+    """Rotation angle that keeps the record-summed weight at 1, broadcast over r and theta.
 
     Evaluates the printed expression -i log((1 + sqrt(1-4ab)) / (2a)) with
     a = cos^2(theta/2) + r sin^2(theta/2) and b = (1-r) sin^2(theta/2).
     Because a + b = 1, the argument collapses to a positive real, so the
     principal real value is identically 0: no rotation ever helps the
-    total weight.  The function verifies that collapse numerically and
-    returns the (zero) real part.
+    total weight.  The function verifies that collapse numerically (raising
+    at the first violation in C order) and returns the zero real part(s).
     """
-    if not 0.0 <= r <= 1.0:
+    if not np.all((0.0 <= r) & (r <= 1.0)):
         raise ValueError(f"r must lie in the unit interval, got {r}")
-    if not 0.0 <= theta <= math.pi:
+    if not np.all((0.0 <= theta) & (theta <= math.pi)):
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    a = math.cos(theta / 2.0) ** 2 + r * math.sin(theta / 2.0) ** 2
-    b = (1.0 - r) * math.sin(theta / 2.0) ** 2
-    if a == 0.0:
-        # Only at (r=0, theta=pi): the log argument diverges along the
-        # positive real axis, so the real part's limit is still 0.
-        return 0.0
+    a = np.cos(theta / 2.0) ** 2 + r * np.sin(theta / 2.0) ** 2
+    b = (1.0 - r) * np.sin(theta / 2.0) ** 2
     # The discriminant 1 - 4ab equals (a - b)^2 exactly since a + b = 1;
     # taking its root as |a - b| avoids the sign flips that direct
-    # evaluation suffers from rounding when a is close to b.
-    w = -1j * cmath.log((1.0 + abs(a - b)) / (2.0 * a))
-    if abs(w.real) >= _ETA_OPT_TOL:
+    # evaluation suffers from rounding when a is close to b.  In floats
+    # a >= cos^2(pi/2) > 0, so the argument is finite even at (r=0, theta=pi).
+    real = (-1j * np.log((1.0 + np.abs(a - b)) / (2.0 * a) + 0j)).real
+    violated = np.abs(real) >= _ETA_OPT_TOL
+    if violated.any():
+        at = np.argmax(violated)
+        r, theta = (float(np.broadcast_to(x, real.shape).flat[at]) for x in (r, theta))
         raise AssertionError(
-            f"optimal-rotation identity violated: real part {w.real} at "
+            f"optimal-rotation identity violated: real part {float(real.flat[at])} at "
             f"r={r}, theta={theta}"
         )
-    return w.real
+    return real if real.ndim else float(real)
 
 
 def metrics_closedform(p: ProtocolParams) -> MetricsRow:

@@ -88,29 +88,31 @@ def ghz_state(n: int, gamma: float, phi0: float) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _lift(op: np.ndarray, site: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Embed a single-qubit operator at `site` of an N-qubit register.
+def _lift(ops: np.ndarray, sites: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Embed single-qubit operators, ``ops[j]`` at site ``sites[j]``, in an N-qubit register.
 
-    Returns the embedded operator K = I (x) op (x) I as one entry per row,
-    without forming the 2^N x 2^N matrix: row i of K holds ``coef[i]`` in
-    column ``src[i]`` and zeros elsewhere (``coef[i]`` is 0 for a zero
-    row).  A diagonal `op` gives ``src[i] = i``; an `op` with its one entry
-    at (a, b) maps the rows whose site bit is a to the columns whose site
-    bit is b.  Raises ValueError, naming the site, for an operator with two
-    nonzero entries in a row, which this form cannot hold.
+    Returns (src, coef) of shape (len(ops), 2^N): row i of K_j = I (x) ops[j]
+    (x) I holds ``coef[j, i]`` in column ``src[j, i]`` and zeros elsewhere
+    (``coef[j, i]`` is 0 for a zero row), without forming K_j.  A diagonal
+    operator gives ``src[j, i] = i``; one with its one entry at (a, b) maps
+    the rows whose site bit is a to the columns whose site bit is b.  Raises
+    ValueError, naming the site, for an operator with two nonzero entries in
+    a row, which this form cannot hold.
     """
-    nonzero = op != 0
-    if nonzero.sum(axis=1).max() > 1:
+    nonzero = ops != 0
+    crowded = nonzero.sum(axis=2).max(axis=1) > 1
+    if crowded.any():
+        j = int(np.argmax(crowded))
         raise ValueError(
-            f"operator at site {site} has two nonzero entries in a row, "
-            f"got {op.tolist()}"
+            f"operator at site {sites[j]} has two nonzero entries in a row, "
+            f"got {ops[j].tolist()}"
         )
-    col = nonzero.argmax(axis=1)  # column of each row's entry; 0 if none
-    index = np.arange(2**n).reshape(2**site, 2, 2 ** (n - site - 1))
-    src = index[:, col, :].ravel()
-    coef = np.empty(index.shape, dtype=op.dtype)
-    coef[...] = op[(0, 1), col][:, None]
-    return src, coef.ravel()
+    shift = (n - 1 - sites)[:, None]
+    index = np.arange(2**n)
+    bit = (index >> shift) & 1  # each row's bit at the site
+    col = np.take_along_axis(nonzero.argmax(axis=2), bit, axis=1)  # 0 if none
+    src = index + ((col - bit) << shift)
+    return src, np.take_along_axis(ops.reshape(-1, 4), 2 * bit + col, axis=1)
 
 
 def _pattern_bits(pattern: str, n: int) -> list[int]:
@@ -152,7 +154,7 @@ def _site_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each site's two Kraus terms on each of its bits ``bits[site]``, on the stored entries.
 
-    Every operator is lifted once (:func:`_lift`).  Returns (index, left,
+    All operators are lifted in one call (:func:`_lift`).  Returns (index, left,
     right) of shape (N, len(bits[0]), 2, 2^N + 2): stored entry k of
     K rho K^dag is the one product ``(left[k] * rho[index[k]]) * right[k]``
     that ``(K @ rho) @ K^dag`` forms.  Raises ValueError, naming the site,
@@ -163,15 +165,9 @@ def _site_terms(
     n = p.n_qubits
     rows, cols = _positions(n)
     damping = adc_kraus(p.r)
-    ops = [_kraus_ops(p, o, damping) for o in (0, 1)]
-    lifted = [
-        _lift(op, site, n)
-        for site, site_bits in enumerate(bits)
-        for o in site_bits
-        for op in ops[o]
-    ]
-    src = np.array([src for src, _ in lifted])
-    coef = np.array([coef for _, coef in lifted])
+    ops = np.array([_kraus_ops(p, o, damping) for o in (0, 1)])[np.array(bits)]
+    sites = np.arange(n).repeat(ops[0].size // 4)  # (site, bit, term) order
+    src, coef = _lift(ops.reshape(-1, 2, 2), sites, n)
     index = _stored_index(src[:, rows], src[:, cols])
     left, right = coef[:, rows], coef[:, cols].conj()
     count, dim = src.shape

@@ -229,24 +229,24 @@ def aggregate_metrics(
 def state_export(p: ProtocolParams, k: int, convention: Convention) -> np.ndarray:
     """Expand the branch operator of the class with k zeros to a dense 2^n matrix.
 
-    Each branch's diagonal is its weight times the Kronecker product of
-    its k outcome-0 pairs and then its n - k outcome-1 pairs (record bits
-    in canonical order, the first the most significant, as in the dense
-    engine); the two corner coherences are C at (|1...1>, |0...0>) and D
+    Each branch's diagonal entry at a record is one product down a gathered
+    (n + 1) x 2^n table: the weight, then, per qubit in record order (the
+    first the most significant, as in the dense engine), the entry of its
+    outcome-0 pair (first k qubits) or outcome-1 pair (the other n - k) at
+    the qubit's bit.  The corner coherences are C at (|1...1>, |0...0>) and D
     at the transposed position.  Only meant for small n, where it feeds
-    comparison against the dense path: n > 16 is refused before anything
-    is expanded.
+    comparison against the dense path: n > 16 is refused before expansion.
     """
     n = p.n_qubits
     if n > 16:
         raise ValueError(f"refusing to expand a 2^{n}-dimensional matrix")
     elements = branch_elements(p, k, convention)
-    diagonals = []
-    for weight, o0, o1 in _branch_pairs(p, convention):
-        vec = np.array([weight], dtype=np.complex128)
-        for pair in (o0,) * k + (o1,) * (n - k):
-            vec = np.kron(vec, np.array(pair, dtype=np.complex128))
-        diagonals.append(vec)
+    bits = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    table = np.empty((2, n + 1, 2**n), dtype=np.complex128)
+    for branch, (weight, o0, o1) in zip(table, _branch_pairs(p, convention)):
+        branch[0] = weight
+        branch[1:] = np.take_along_axis(np.array([o0] * k + [o1] * (n - k)), bits, axis=1)
+    diagonals = np.multiply.reduce(table, axis=1)
     rho = np.diag(diagonals[0] + diagonals[1])
     rho[-1, 0] += elements.C
     rho[0, -1] += elements.D

@@ -18,6 +18,7 @@ import numpy as np
 from .closedform import (
     class_probability,
     eta_opt_probability,
+    prob_product,
     prob_total,
     qfi_total,
 )
@@ -252,31 +253,27 @@ def _check_scalar_vs_grid(rng) -> tuple[bool, str]:
 
 
 def _check_closedform_weight_vs_structured(rng) -> tuple[bool, str]:
-    thetas = np.linspace(0.0, math.pi, 10)
-    etas = np.linspace(0.0, 2.0 * math.pi, 10)
+    thetas = np.linspace(0.0, math.pi, 10)[:, None, None]
+    etas = np.linspace(0.0, 2.0 * math.pi, 10)[:, None]
     rs = np.linspace(0.0, 1.0, 5)
     for n in range(1, 13):
-        # One kernel call per n over the (theta, eta, r) grid, in loop order.
-        # Its P has the scalar path's bits; its QFI is read only for the
-        # NaN that makes the scalar path raise.
+        # One kernel call and one product-form call per n over the
+        # (theta, eta, r) grid.  The kernel's P has the scalar path's bits;
+        # its QFI is read only for the NaN that makes the scalar path raise.
         totals, _, qfis = _aggregates(
-            n, math.pi / 2, rs, thetas[:, None, None], etas[:, None],
-            Convention.PAPER,
+            n, math.pi / 2, rs, thetas, etas, Convention.PAPER
         )
         undefined = np.isnan(totals) | np.isnan(qfis)
-        for (i, j, m), batch_total in np.ndenumerate(totals):
-            theta, eta, r = thetas[i], etas[j], rs[m]
-            p = ProtocolParams(
-                n_qubits=n,
-                gamma=math.pi / 2,
-                phi0=0.0,
-                theta=float(theta),
-                eta=float(eta),
-                r=float(r),
-                extended_theta=True,
-            )
+        # The array form is within 1e-14 of prob_total (|P| <= 1), so this
+        # screen flags every point whose scalar delta can exceed 1e-9.
+        verbatims = prob_product(n, thetas, etas, rs)
+        flagged = undefined | (np.abs(verbatims - totals) > 1e-9 - 1e-12)
+        for i, j, m in np.argwhere(flagged):  # in loop order
+            theta, eta, r = thetas[i, 0, 0], etas[j, 0], rs[m]
+            p = ProtocolParams(n, math.pi / 2, 0.0, float(theta), float(eta), float(r),
+                               extended_theta=True)
             verbatim = prob_total(p)
-            if undefined[i, j, m] or abs(verbatim - batch_total) > 1e-9:
+            if undefined[i, j, m] or abs(verbatim - totals[i, j, m]) > 1e-9:
                 # The scalar path words the failure, or raises.
                 total, _, _ = aggregate_complex(p, Convention.PAPER)
                 if abs(verbatim - total) > 1e-9:
@@ -339,11 +336,11 @@ def _check_class_qfi_vs_spectral(rng) -> tuple[bool, str]:
 
 
 def _check_rotation_identity_zero(rng) -> tuple[bool, str]:
-    for r in np.linspace(0.0, 1.0, 100):
-        for theta in np.linspace(0.0, math.pi, 100):
-            value = eta_opt_probability(float(r), float(theta))
-            if abs(value) > 1e-12:
-                return _fail(f"r={r!r} theta={theta!r} value={value!r}")
+    # One call over the grid; it raises at the first (r, theta) in loop order
+    # where the identity fails.
+    eta_opt_probability(
+        np.linspace(0.0, 1.0, 100)[:, None], np.linspace(0.0, math.pi, 100)
+    )
     return _ok()
 
 

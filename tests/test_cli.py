@@ -657,13 +657,22 @@ class TestUsageErrors:
         )
 
     def test_closedform_metrics_at_and_above_its_ceiling(self, capsys):
-        # From N = 512 the printed information's 4^N overflows a float.
+        # From N = 512 the printed information's 4^N overflows a float.  At
+        # N = 511 its numerator is a true 0 for r = 1 and underflows at the
+        # default r = 0.5, theta = pi/2.
         code, out, _ = run_cli(capsys, [
-            "metrics", "--engine", "closedform_verbatim", "--n", "511",
+            "metrics", "--engine", "closedform_verbatim", "--n", "511", "--r", "1",
         ])
         assert code == 0
         (row,) = parse_table(out)[1]
         assert row["engine"] == "closedform_verbatim"
+        assert float(row["qfi"]) == 0.0
+        code, out, err = run_cli(capsys, [
+            "metrics", "--engine", "closedform_verbatim", "--n", "511",
+        ])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: the information numerator ")
+        assert "underflows to 0 at N=511" in err
         code, out, err = run_cli(capsys, [
             "metrics", "--engine", "closedform_verbatim", "--n", "512",
         ])

@@ -9,6 +9,7 @@ point where the two formula families deliberately disagree.
 import ast
 import cmath
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from ghzprotect.closedform import (
     fid_total,
     metrics_closedform,
     pow_int,
+    prob_product,
     prob_total,
     qfi_total,
 )
@@ -79,6 +81,88 @@ class TestPowInt:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="exponent"):
             pow_int(1.0 + 0j, -1)
+
+
+def scalar_pow(z, n):
+    """z**n by the repeated squaring of Python complex numbers."""
+    result = complex(1.0)
+    base = complex(z)
+    while n:
+        if n & 1:
+            result *= base
+        base *= base
+        n >>= 1
+    return result
+
+
+def math_prob_total(n, theta, eta, r):
+    """The printed product form, in math and cmath."""
+    u = math.cos(theta / 2.0) ** 2
+    v = math.sin(theta / 2.0) ** 2
+    zp = cmath.exp(1j * eta)
+    zm = cmath.exp(-1j * eta)
+    return scalar_pow((r * zp + (1.0 - r) * zm) * v + zp * u, n)
+
+
+def math_eta_opt(r, theta):
+    """The printed optimal rotation's real part, in math and cmath."""
+    a = math.cos(theta / 2.0) ** 2 + r * math.sin(theta / 2.0) ** 2
+    b = (1.0 - r) * math.sin(theta / 2.0) ** 2
+    if a == 0.0:
+        return 0.0
+    return (-1j * cmath.log((1.0 + abs(a - b)) / (2.0 * a))).real
+
+
+def bits(x):
+    """The bytes of a float or of a complex's two parts (signed zeros count)."""
+    return struct.pack("dd", x.real, x.imag) if isinstance(x, complex) else struct.pack("d", x)
+
+
+def seeded_draws(count=2400, seed=211):
+    """(n, theta, eta, r) draws, a third of each angle at its ends, n up to 511."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for index in range(count):
+        n = 511 if index % 100 == 0 else int(rng.integers(1, 512))
+        theta = float(rng.choice([0.0, math.pi, rng.uniform(0.0, math.pi)]))
+        eta = float(rng.choice([0.0, 2.0 * math.pi, rng.uniform(0.0, 2.0 * math.pi)]))
+        r = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+        draws.append((n, theta, eta, r))
+    return draws
+
+
+class TestArrayForms:
+    def test_prob_total_has_the_bits_of_the_math_expression(self):
+        for n, theta, eta, r in seeded_draws():
+            got = prob_total(make_params(n_qubits=n, theta=theta, eta=eta, r=r, extended_theta=True))
+            assert type(got) is complex
+            assert bits(got) == bits(math_prob_total(n, theta, eta, r)), (n, theta, eta, r)
+
+    def test_eta_opt_probability_has_the_bits_of_the_math_expression(self):
+        for _, theta, _, r in seeded_draws():
+            got = eta_opt_probability(r, theta)
+            assert type(got) is float
+            assert bits(got) == bits(math_eta_opt(r, theta)), (r, theta)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_the_array_product_form_is_within_rounding_of_prob_total(self, n):
+        # |P| <= 1, and an array's complex products may round otherwise
+        # than the scalar ones: 1e-14 is the bound the validate screen uses.
+        _, theta, eta, r = (np.array(axis) for axis in zip(*seeded_draws()))
+        got = prob_product(n, theta, eta, r)
+        want = [
+            prob_total(make_params(n_qubits=n, theta=t, eta=e, r=x, extended_theta=True))
+            for t, e, x in zip(theta.tolist(), eta.tolist(), r.tolist())
+        ]
+        assert got.shape == theta.shape
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_the_array_rotation_is_that_of_per_point_calls(self):
+        r, theta = np.linspace(0.0, 1.0, 41)[:, None], np.linspace(0.0, math.pi, 37)
+        got = eta_opt_probability(r, theta)
+        assert got.shape == (41, 37)
+        want = [[eta_opt_probability(float(x), float(t)) for t in theta] for x in r[:, 0]]
+        assert np.array_equal(got, want)
 
 
 class TestProbTotal:
@@ -178,6 +262,21 @@ class TestQfiTotal:
         assert qfi_total(make_params(r=1.0)) == 0.0
         assert aggregate_complex(make_params(r=1.0), Convention.PAPER)[2] == 0.0
 
+    @pytest.mark.parametrize("n", [400, 511])
+    def test_an_underflowed_numerator_raises_naming_it(self, n):
+        # ((1-r) sin^2(theta) / 4)^N = 8^-N is below the smallest float.
+        p = make_params(n_qubits=n, r=0.5)
+        with pytest.raises(DegeneracyError, match=r"numerator .* underflows to 0 at N=%d" % n):
+            qfi_total(p)
+
+    @pytest.mark.parametrize(
+        "theta, r", [(math.pi / 2, 1.0), (0.0, 0.5), (math.pi, 0.5)],
+        ids=["r=1", "theta=0", "theta=pi"],
+    )
+    def test_true_zeros_of_the_numerator_stay_zero(self, theta, r):
+        p = make_params(n_qubits=511, theta=theta, r=r, extended_theta=True)
+        assert qfi_total(p) == 0.0
+
     def test_gap_is_confined_to_edge_classes(self):
         # Only the k=0 / k=N denominators differ between the families.  At
         # theta=pi/2, r=0, eta=0 both edge contributions evaluate in closed
@@ -222,10 +321,14 @@ class TestMetricsClosedform:
 
     def test_largest_register_of_the_printed_formulas(self):
         # From N = 512 the information's printed 4^N overflows a float;
-        # the fidelity and the information refuse such a register.
-        p = make_params(n_qubits=closedform.VERBATIM_MAX_QUBITS, r=0.5)
+        # the fidelity and the information refuse such a register.  At
+        # N = 511 the numerator is 0 for r = 1, a true zero, and underflows
+        # for r = 0.5.
+        p = make_params(n_qubits=closedform.VERBATIM_MAX_QUBITS, r=1.0)
         row = metrics_closedform(p)
-        assert math.isfinite(row.fidelity) and math.isfinite(row.qfi)
+        assert math.isfinite(row.fidelity) and row.qfi == 0.0
+        with pytest.raises(DegeneracyError, match="numerator"):
+            metrics_closedform(make_params(n_qubits=closedform.VERBATIM_MAX_QUBITS, r=0.5))
         above = make_params(n_qubits=closedform.VERBATIM_MAX_QUBITS + 1, r=0.5)
         for formula in (fid_total, qfi_total, metrics_closedform):
             with pytest.raises(ValueError, match="n_qubits=512 exceeds .* 511"):

@@ -382,21 +382,23 @@ class TestPrefixTree:
             assert average[0].tobytes() == want_average.tobytes()
 
     @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_each_site_and_bit_is_lifted_once(self, monkeypatch, n):
+    def test_a_run_lifts_all_its_operators_in_one_call(self, monkeypatch, n):
         lifts = []
 
-        def counting_lift(op, site, n_qubits):
-            lifts.append((site, n_qubits))
-            return original(op, site, n_qubits)
+        def counting_lift(ops, sites, n_qubits):
+            lifts.append((len(ops), list(sites), n_qubits))
+            return original(ops, sites, n_qubits)
 
         original = dense._lift
         monkeypatch.setattr(dense, "_lift", counting_lift)
         p = make_params(n_qubits=n)
         run_all_branches(p, Convention.PAPER)
-        assert len(lifts) == 4 * n  # N 2^(N+1) when each record lifted its own
+        # A row per site, bit and Kraus term, in site order (N 2^(N+1) rows
+        # when each record lifted its own).
+        assert lifts == [(4 * n, [site for site in range(n) for _ in range(4)], n)]
         lifts.clear()
         run_protocol_branch(p, "1" * n, Convention.PAPER)
-        assert len(lifts) == 2 * n
+        assert lifts == [(2 * n, [site for site in range(n) for _ in range(2)], n)]
 
 
 class TestStoredEntries:
@@ -517,6 +519,13 @@ class TestArbiterAtLargeRegisters:
             aggregate_metrics(p, Convention.PAPER)
 
 
+def embedded(op, site, n):
+    """I (x) op (x) I with op at `site` of an n-qubit register."""
+    left = np.eye(2**site, dtype=np.complex128)
+    right = np.eye(2 ** (n - site - 1), dtype=np.complex128)
+    return np.kron(np.kron(left, op), right)
+
+
 class TestLift:
     @pytest.mark.parametrize(
         "op",
@@ -532,22 +541,28 @@ class TestLift:
     )
     @pytest.mark.parametrize("site", [0, 1, 2])
     def test_the_entries_are_the_kronecker_embedding(self, op, site):
+        # One call lifts op at `site` and op with both axes reversed at every
+        # site; each row of the call is that operator's lift at that site alone.
         op = np.array(op, dtype=np.complex128)
         n = 3
-        left = np.eye(2**site, dtype=np.complex128)
-        right = np.eye(2 ** (n - site - 1), dtype=np.complex128)
-        src, coef = dense._lift(op, site, n)
-        got = np.zeros((2**n, 2**n), dtype=np.complex128)
-        got[np.arange(2**n), src] = coef  # row i holds coef[i] in column src[i]
-        assert np.array_equal(got, np.kron(np.kron(left, op), right))
+        ops = np.array([op] + [op[::-1, ::-1]] * n)
+        sites = np.array([site, *range(n)])
+        src, coef = dense._lift(ops, sites, n)
+        assert src.shape == coef.shape == (n + 1, 2**n)
+        for row_src, row_coef, one, at in zip(src, coef, ops, sites):
+            got = np.zeros((2**n, 2**n), dtype=np.complex128)
+            got[np.arange(2**n), row_src] = row_coef  # row i holds coef[i] in column src[i]
+            assert np.array_equal(got, embedded(one, at, n))
 
     @pytest.mark.parametrize(
         "op", [[[0.6, 0.1], [0.0, 0.8]], [[0.6, 0.0], [0.1, 0.8]]]
     )
     def test_two_entries_in_a_row_raise_naming_the_site(self, op):
+        # The first such operator of the call is named: site 2, not 3.
+        diagonal = np.diag([0.6, 0.8]).astype(np.complex128)
         op = np.array(op, dtype=np.complex128)
         with pytest.raises(ValueError, match="site 2"):
-            dense._lift(op, 2, 4)
+            dense._lift(np.array([diagonal, diagonal, op, op]), np.arange(4), 4)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

@@ -31,6 +31,7 @@ from ghzprotect.params import (
 from ghzprotect.structured import (
     BranchElements,
     _aggregates,
+    _branch_pairs,
     _paired_complex,
     aggregate_complex,
     aggregate_metrics,
@@ -170,6 +171,27 @@ class TestBranchElements:
                         np.testing.assert_allclose(
                             e.P, dense_run.probability, atol=1e-12
                         )
+
+    def test_state_export_has_the_bits_of_the_kronecker_chain(self):
+        # The reference: each branch's weight, then np.kron with its k
+        # outcome-0 pairs and its n - k outcome-1 pairs, one at a time.
+        rng = np.random.default_rng(67)
+        for n in range(1, 11):
+            for theta, r in itertools.product((0.0, math.pi, 1.3), (0.0, 1.0, 0.35)):
+                p = random_params(rng, n, theta=theta, r=r, extended_theta=True)
+                for conv in Convention:
+                    k = int(rng.integers(0, n + 1))
+                    diagonals = []
+                    for weight, o0, o1 in _branch_pairs(p, conv):
+                        vec = np.array([weight], dtype=np.complex128)
+                        for pair in (o0,) * k + (o1,) * (n - k):
+                            vec = np.kron(vec, np.array(pair, dtype=np.complex128))
+                        diagonals.append(vec)
+                    want = np.diag(diagonals[0] + diagonals[1])
+                    e = branch_elements(p, k, conv)
+                    want[-1, 0] += e.C
+                    want[0, -1] += e.D
+                    assert state_export(p, k, conv).tobytes() == want.tobytes(), (p, k, conv)
 
     def test_state_export_size_guard(self):
         # A 2^17 diagonal alone would take 2 MiB; the guard refuses first.

@@ -1,18 +1,20 @@
 """Tests for the self-validation suite's check list and its grid checks.
 
-Two checks evaluate the structured kernel once over a grid instead of once
-per point.  Their reports must read as the per-point loops they replaced
-did, on a pass and on a failure, and the kernel calls are counted.
+Three checks evaluate the structured kernel or a closed form once over a
+grid instead of once per point.  Their reports must read as the per-point
+loops they replaced did, on a pass and on a failure, and the calls are
+counted.
 """
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ghzprotect import structured, validate
-from ghzprotect.closedform import prob_total
+from ghzprotect import closedform, structured, validate
+from ghzprotect.closedform import eta_opt_probability, prob_product, prob_total
 from ghzprotect.params import (
     Convention,
     DegeneracyError,
@@ -49,6 +51,20 @@ def refuse(*args, **kwargs):
     raise AssertionError("the scalar path was called on a passing run")
 
 
+def offset_at(offset):
+    """prob_product plus offset[p] at the grid point of each p of that size."""
+
+    def patched(n, theta, eta, r):
+        out = prob_product(n, theta, eta, r)
+        for p, delta in offset.items():
+            if p.n_qubits == n:
+                hit = (theta == p.theta) & (eta == p.eta) & (r == p.r)
+                out = out + np.where(hit, delta, 0.0)
+        return out
+
+    return patched
+
+
 def nan_at(kernel, p, field):
     """The kernel, reading NaN in one field at the point of p."""
 
@@ -69,12 +85,15 @@ def nan_at(kernel, p, field):
 class TestClosedformWeightCheck:
     check = staticmethod(validate._check_closedform_weight_vs_structured)
 
-    def test_a_pass_calls_the_kernel_once_per_n(self, monkeypatch):
-        calls = []
+    def test_a_pass_calls_the_kernel_and_the_product_form_once_per_n(self, monkeypatch):
+        calls, forms = [], []
         monkeypatch.setattr(validate, "_aggregates", counting(calls, validate._aggregates))
+        monkeypatch.setattr(validate, "prob_product", counting(forms, prob_product))
         monkeypatch.setattr(validate, "aggregate_complex", refuse)
+        monkeypatch.setattr(validate, "prob_total", refuse)
         assert self.check(np.random.default_rng(0)) == (True, "")
         assert [args[0] for args in calls] == list(range(1, 13))
+        assert [args[0] for args in forms] == list(range(1, 13))
 
     @pytest.mark.parametrize(
         "first, second",
@@ -93,6 +112,7 @@ class TestClosedformWeightCheck:
             return prob_total(p) + offset.get(p, 0.0)
 
         monkeypatch.setattr(validate, "prob_total", offset_prob_total)
+        monkeypatch.setattr(validate, "prob_product", offset_at(offset))
         # The per-point loop's text, from the scalar path at the first point.
         n, i, j, m = first
         p = grid_point(*first)
@@ -103,6 +123,17 @@ class TestClosedformWeightCheck:
             f"delta={abs(verbatim - total)}"
         )
         assert self.check(np.random.default_rng(0)) == (False, expected)
+
+    def test_prob_total_settles_a_point_the_product_form_flags(self, monkeypatch):
+        # An array form off by 1e-6 at one point flags it; the scalar
+        # prob_total, not the array, decides that it passes.
+        p = grid_point(6, 4, 3, 1)
+        scalar_calls = []
+        monkeypatch.setattr(validate, "prob_product", offset_at({p: 1e-6}))
+        monkeypatch.setattr(validate, "prob_total", counting(scalar_calls, prob_total))
+        monkeypatch.setattr(validate, "aggregate_complex", refuse)
+        assert self.check(np.random.default_rng(0)) == (True, "")
+        assert scalar_calls == [(p,)]
 
     @pytest.mark.parametrize("field", [0, 2], ids=["probability", "qfi"])
     def test_an_undefined_point_raises_the_scalar_message(self, monkeypatch, field):
@@ -163,6 +194,90 @@ class TestUnitWeightCheck:
         worst = float(np.max(np.abs(prob_c + offset[37] - 1.0)))
         expected = f"r={r!r} worst|P-1|={worst}"
         assert self.check(np.random.default_rng(0)) == (False, expected)
+
+
+R_AXIS = np.linspace(0.0, 1.0, 100)
+THETA_AXIS = np.linspace(0.0, math.pi, 100)
+
+
+def log_argument(r, theta):
+    """The argument eta_opt_probability takes the log of: 1 where a >= b, else b / a."""
+    a = np.cos(theta / 2.0) ** 2 + r * np.sin(theta / 2.0) ** 2
+    b = (1.0 - r) * np.sin(theta / 2.0) ** 2
+    return (1.0 + np.abs(a - b)) / (2.0 * a) + 0j
+
+
+class OffsetLog:
+    """numpy, whose log gains i * delta at chosen arguments: -i log then has real part delta."""
+
+    def __init__(self, offsets):
+        self.offsets = offsets
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x):
+        out = np.log(x)
+        for arg, delta in self.offsets.items():
+            out = out + np.where(x == arg, 1j * delta, 0.0)
+        return out
+
+
+class TestRotationIdentityCheck:
+    check = staticmethod(validate._check_rotation_identity_zero)
+
+    def test_a_pass_makes_one_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(validate, "eta_opt_probability", counting(calls, eta_opt_probability))
+        assert self.check(np.random.default_rng(0)) == (True, "")
+        assert len(calls) == 1
+        assert np.broadcast(*calls[0]).shape == (100, 100)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((10, 95), (30, 80)),  # earlier r, later theta
+            ((20, 75), (20, 90)),  # same r, earlier theta
+        ],
+    )
+    def test_a_failure_names_the_first_point_in_loop_order(
+        self, monkeypatch, first, second
+    ):
+        grid = log_argument(R_AXIS[:, None], THETA_AXIS)
+        offsets = {}
+        for (i, j), delta in ((first, 1e-6), (second, 2e-6)):
+            arg = log_argument(float(R_AXIS[i]), float(THETA_AXIS[j]))
+            assert np.count_nonzero(grid == arg) == 1  # the point alone is hit
+            offsets[arg] = delta
+        monkeypatch.setattr(closedform, "np", OffsetLog(offsets))
+        # The per-point loop's text: the scalar function's, at the first point.
+        i, j = first
+        with pytest.raises(AssertionError) as expected:
+            eta_opt_probability(float(R_AXIS[i]), float(THETA_AXIS[j]))
+        assert "real part 1e-06" in str(expected.value)
+        with pytest.raises(AssertionError) as raised:
+            self.check(np.random.default_rng(0))
+        assert str(raised.value) == str(expected.value)
+
+
+def test_a_passing_run_makes_few_scalar_closed_form_calls(monkeypatch):
+    # The grid checks call the array forms; scalar prob_total is left to
+    # class-weights-collapse, one call per register size.
+    callers = {"prob_total": [], "eta_opt_probability": []}
+
+    def called_from(name, fn):
+        def wrapper(*args, **kwargs):
+            callers[name].append(sys._getframe(1).f_code.co_name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in ((n, getattr(validate, n)) for n in callers):
+        monkeypatch.setattr(validate, name, called_from(name, fn))
+    results = validate.run_validation(7)
+    assert all(result.passed for result in results)
+    assert callers["prob_total"] == ["_check_class_weights_collapse"] * 4
+    assert callers["eta_opt_probability"] == ["_check_rotation_identity_zero"]
 
 
 def test_check_names_match_the_reference_list():
