@@ -16,19 +16,20 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
 from ghzprotect.params import (
+    DEGENERACY_TOL,
     Convention,
     DegeneracyError,
     Engine,
     MetricsRow,
     ProtocolParams,
+    class_cutoffs,
     validate_params,
 )
-
-_DEGENERACY_TOL = 1e-14
 
 #: Real-part ceiling for the optimal-rotation identity check.
 _ETA_OPT_TOL = 1e-12
@@ -109,7 +110,8 @@ def fid_total(p: ProtocolParams) -> complex:
       + 2 |alpha beta|^2 r^N e^{iN eta} v^N
       + 2^{N+1} |alpha beta|^2 (1-r)^{N/2} sin^N(theta) / 2^N
 
-    divided by the total weight.  Raises on vanishing total weight.
+    divided by the total weight.  Raises where the total weight vanishes
+    by the engines' rule, |P| < :data:`~ghzprotect.params.DEGENERACY_TOL`.
     """
     validate_params(p, max_qubits=VERBATIM_MAX_QUBITS)
     n = p.n_qubits
@@ -128,7 +130,7 @@ def fid_total(p: ProtocolParams) -> complex:
         * math.sin(p.theta) ** n / 2.0**n
     )
     total = prob_total(p)
-    if abs(total) < _DEGENERACY_TOL:
+    if abs(total) < DEGENERACY_TOL:
         raise DegeneracyError(
             f"total record weight |{total}| vanishes at theta={p.theta}, "
             f"eta={p.eta}, r={p.r}; fidelity is undefined"
@@ -144,6 +146,10 @@ def qfi_total(p: ProtocolParams) -> complex:
     e^{iN eta} (and the mirror); these differ from the per-class elements,
     producing a documented gap of N^2 2^{1-N} against the structured
     engine's paper-convention QFI at r=0, eta=0, theta=pi/2.
+
+    The numerator is 4 N^2 |C|^2, so a denominator is a pole, and raises,
+    below the pole bound of :func:`~ghzprotect.params.class_cutoffs` for
+    that |C|.
     """
     validate_params(p, max_qubits=VERBATIM_MAX_QUBITS)
     n = p.n_qubits
@@ -157,14 +163,19 @@ def qfi_total(p: ProtocolParams) -> complex:
         4.0 * c2 * s2 * (1.0 - p.r) ** n
         * math.sin(p.theta) ** (2 * n) / 4.0**n * n**2
     )
-    if numerator == 0.0 and p.r < 1.0 and 0.0 < p.theta < math.pi:  # not a true 0
+    # Below N^2 times the smallest normal float, the product before its
+    # N^2 factor is subnormal and has lost its digits.
+    if numerator < n**2 * sys.float_info.min and p.r < 1.0 and 0.0 < p.theta < math.pi:
+        to = "to 0" if numerator == 0.0 else "below the normal float range"
         raise DegeneracyError(f"the information numerator 4|alpha beta|^2 (1-r)^N sin^2N(theta) "
-                              f"N^2 / 4^N underflows to 0 at N={n}, theta={p.theta}, r={p.r}")
+                              f"N^2 / 4^N underflows {to} at N={n}, theta={p.theta}, r={p.r}")
+
+    pole_below = float(class_cutoffs(math.sqrt(numerator) / (2 * n))[0])
 
     def term(denom: complex) -> complex:
         if numerator == 0.0:
             return 0.0 + 0.0j
-        if abs(denom) < _DEGENERACY_TOL:
+        if abs(denom) < pole_below:
             raise DegeneracyError(
                 f"vanishing information denominator at theta={p.theta}, "
                 f"eta={p.eta}, r={p.r}"

@@ -291,30 +291,6 @@ def run_all_branches(
     return _branch_runs(p, convention, patterns, [(0, 1)] * n)
 
 
-def run_protocol_average(
-    p: ProtocolParams, convention: Convention
-) -> tuple[np.ndarray, complex]:
-    """Record-averaged output state and the total success weight.
-
-    Sums the unnormalized branch states over every record and renormalizes
-    by the total trace; returns ``(rho, total)``, ``rho`` a 2^N x 2^N
-    matrix of unit trace, for N up to 6.  Raises :class:`DegeneracyError`
-    when the total weight vanishes (every branch killed, e.g. projective
-    measurement onto decayed components), since no average state exists
-    there.
-    """
-    validate_params(p, max_qubits=_MATRIX_MAX_QUBITS)
-    branches = run_all_branches(p, convention)
-    total = sum(b.probability for b in branches)
-    if abs(total) < DEGENERACY_TOL:
-        raise DegeneracyError(
-            f"total branch weight {total} vanishes at "
-            f"theta={p.theta}, eta={p.eta}, r={p.r}; "
-            f"the averaged state is undefined"
-        )
-    return sum(b.rho for b in branches) / total, total
-
-
 def phase_imprint(rho: np.ndarray, delta: float) -> np.ndarray:
     """Apply the collective phase diag(1, e^{i delta})^{tensor N} to rho.
 
@@ -342,7 +318,7 @@ def qfi_general(
         F = sum_{i,j} 2 |<i| drho |j>|^2 / (lambda_i + lambda_j)
 
     over eigenpairs of rho(phi0), skipping pairs whose combined weight
-    falls below 1e-10.
+    falls below 1e-10 times the largest eigenvalue.
 
     Args:
         state_at: maps a parameter value to a (Hermitian, normalized)
@@ -362,25 +338,8 @@ def qfi_general(
     vals, vecs = np.linalg.eigh(rho)
     d_in_eig = vecs.conj().T @ drho @ vecs
     denom = vals[:, None] + vals[None, :]
-    kept = denom > 1e-10
+    kept = denom > 1e-10 * vals[-1]
     return float(np.sum(2.0 * np.abs(d_in_eig[kept]) ** 2 / denom[kept]))
-
-
-def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> of a normalized pure target with a state.
-
-    Returns the real part clipped to [0, 1]; intended for Hermitian,
-    normalized states where the imaginary part is pure rounding noise.
-    """
-    psi = np.asarray(psi, dtype=np.complex128)
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (psi.size, psi.size):
-        raise ValueError(
-            f"shape mismatch: vector of size {psi.size} against state "
-            f"{rho.shape}"
-        )
-    val = float(np.real(psi.conj() @ rho @ psi))
-    return min(max(val, 0.0), 1.0)
 
 
 def aggregate_metrics_dense(

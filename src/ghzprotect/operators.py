@@ -57,6 +57,7 @@ def adc_kraus(r: float) -> tuple[np.ndarray, np.ndarray]:
 
     e0 = diag(1, sqrt(1-r)) keeps the populations, e1 = sqrt(r) |0><1|
     moves excitation to the ground state.  e0^dag e0 + e1^dag e1 = I.
+    For a level decaying at rate Gamma for a time t, r = 1 - e^{-Gamma t}.
 
     Args:
         r: damping probability in [0, 1].
@@ -105,16 +106,3 @@ def adc_basis_action(r: float) -> dict[tuple[int, int], np.ndarray]:
         (0, 1): np.array([[0.0, sq], [0.0, 0.0]], dtype=np.complex128),
         (1, 0): np.array([[0.0, 0.0], [sq, 0.0]], dtype=np.complex128),
     }
-
-
-def decay_probability(rate: float, t: float) -> float:
-    """Survival probability e^{-rate * t} of the excited level.
-
-    The damping parameter of :func:`adc_kraus` relates to a physical decay
-    process via r = 1 - decay_probability(rate, t).
-    """
-    if rate < 0.0:
-        raise ValueError(f"rate must be non-negative, got {rate}")
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    return math.exp(-rate * t)

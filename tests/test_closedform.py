@@ -12,6 +12,7 @@ import math
 import struct
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -120,7 +121,7 @@ def bits(x):
 
 def seeded_draws(count=2400, seed=211):
     """(n, theta, eta, r) draws, a third of each angle at its ends, n up to 511."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(307)
     draws = []
     for index in range(count):
         n = 511 if index % 100 == 0 else int(rng.integers(1, 512))
@@ -240,8 +241,71 @@ class TestFidTotal:
         with pytest.raises(DegeneracyError, match="weight"):
             fid_total(p)
 
+    def test_defined_where_the_structured_engine_is(self):
+        # Undamped and unmeasured, the total weight is cos(eta)^2, here
+        # |P| = 4.8e-14: below the engines' 1e-13, so both raise.
+        p = make_params(n_qubits=2, eta=math.pi / 2 - 2.2e-7)
+        assert 1e-14 < abs(prob_total(p)) < 1e-13
+        with pytest.raises(DegeneracyError, match="weight"):
+            fid_total(p)
+        with pytest.raises(DegeneracyError, match="weight"):
+            aggregate_complex(p, Convention.PAPER)
+
+
+def printed_qfi_oracle(n, gamma, theta, eta, r):
+    """The printed three-part information sum at 50 digits.
+
+    Returns (total, sum of |terms|), each class term with its multiplicity
+    C(n, k); the denominators are those :func:`qfi_total` documents.
+    """
+    with mpmath.workdps(50):
+        c2, s2 = mpmath.cos(gamma / 2) ** 2, mpmath.sin(gamma / 2) ** 2
+        u, v = mpmath.cos(theta / 2) ** 2, mpmath.sin(theta / 2) ** 2
+        q = 1 - mpmath.mpf(r)
+        numerator = 4 * c2 * s2 * q**n * mpmath.sin(theta) ** (2 * n) / 4**n * n**2
+        rr, zpn = (r * q) ** n, mpmath.expj(eta * n)
+        terms = [
+            numerator / (c2 * v**n * rr + s2 * u**n * zpn),
+            numerator / (c2 * u**n * zpn + s2 * v**n * rr),
+        ]
+        for k in range(1, n):
+            zmu = mpmath.expj(eta * (2 * k - n))
+            denom = c2 * u**k * v ** (n - k) * q ** (n - k) * zmu + s2 * v**k * u ** (n - k) * q**k / zmu
+            terms.append(mpmath.binomial(n, k) * numerator / denom)
+        return complex(mpmath.fsum(terms)), float(mpmath.fsum(abs(t) for t in terms))
+
+
+def oracle_draws():
+    """Seeded draws: 120 up to N = 64, then 20 up to N = 300.
+
+    Only draws whose printed numerator is at least 1e-290 are kept, clear of
+    the underflow that :func:`qfi_total` raises on.
+    """
+    rng = np.random.default_rng(307)
+    draws = []
+    while len(draws) < 140:
+        p = random_params(rng, int(rng.integers(1, 65 if len(draws) < 120 else 301)))
+        numerator = 4 * abs(p.alpha * p.beta) ** 2 * p.n_qubits**2 * (
+            (1 - p.r) * math.sin(p.theta) ** 2 / 4
+        ) ** p.n_qubits
+        if numerator >= 1e-290:
+            draws.append(p)
+    return draws
+
 
 class TestQfiTotal:
+    def test_the_printed_sum_at_50_digits(self):
+        for p in oracle_draws():
+            want, scale = printed_qfi_oracle(p.n_qubits, p.gamma, p.theta, p.eta, p.r)
+            assert abs(qfi_total(p) - want) <= 1e-12 * scale, p
+
+    @pytest.mark.parametrize("n", [46, 100, closedform.VERBATIM_MAX_QUBITS])
+    def test_identity_point_at_large_registers(self, n):
+        # Each printed denominator is 2^-N, far above the pole bound of
+        # the class coherence |C|^2 = 4^-N / 4.
+        want = n**2 * (1.0 + 2.0 ** (1 - n))
+        assert abs(qfi_total(make_params(n_qubits=n)) - want) <= 1e-12 * want
+
     def test_identity_point_appendix(self):
         np.testing.assert_allclose(
             aggregate_complex(make_params(), Convention.PAPER)[2],
@@ -262,11 +326,16 @@ class TestQfiTotal:
         assert qfi_total(make_params(r=1.0)) == 0.0
         assert aggregate_complex(make_params(r=1.0), Convention.PAPER)[2] == 0.0
 
-    @pytest.mark.parametrize("n", [400, 511])
-    def test_an_underflowed_numerator_raises_naming_it(self, n):
-        # ((1-r) sin^2(theta) / 4)^N = 8^-N is below the smallest float.
+    @pytest.mark.parametrize(
+        "n, to", [(345, "below the normal float range"), (400, "to 0"), (511, "to 0")],
+        ids=["345", "400", "511"],
+    )
+    def test_an_underflowed_numerator_raises_naming_it(self, n, to):
+        # ((1-r) sin^2(theta) / 4)^N = 8^-N is below the smallest float from
+        # N = 359.  From N = 341 it is subnormal and has lost digits, though
+        # at N = 345 the numerator, N^2 8^-N, is a normal float again.
         p = make_params(n_qubits=n, r=0.5)
-        with pytest.raises(DegeneracyError, match=r"numerator .* underflows to 0 at N=%d" % n):
+        with pytest.raises(DegeneracyError, match=r"numerator .* underflows %s at N=%d" % (to, n)):
             qfi_total(p)
 
     @pytest.mark.parametrize(

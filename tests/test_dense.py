@@ -21,13 +21,11 @@ from ghzprotect.dense import (
     BranchRun,
     aggregate_metrics_dense,
     do_nothing_baseline,
-    fidelity_pure,
     ghz_state,
     ghz_vector,
     phase_imprint,
     qfi_general,
     run_all_branches,
-    run_protocol_average,
     run_protocol_branch,
 )
 from ghzprotect.operators import adc_kraus, flip_op, rotation_op, weak_meas_op
@@ -367,20 +365,6 @@ class TestPrefixTree:
             *reference_row(reference, p, convention),
         )
 
-        # The branch matrices have the reference's bits, so the average has
-        # the bits of their sum over the engine's total.
-        average = outcome(run_protocol_average, p, convention)
-        want_total = sum(rec.probability for rec in reference)
-        if isinstance(average, str):
-            assert abs(want_total) < DEGENERACY_TOL
-        else:
-            scale = sum(np.abs(np.diag(rec.rho)).sum() for rec in reference)
-            assert abs(average[1] - want_total) <= ROUNDING * scale
-            if eta == 0.0:
-                assert average[1] == want_total
-            want_average = sum(rec.rho for rec in reference) / average[1]
-            assert average[0].tobytes() == want_average.tobytes()
-
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_a_run_lifts_all_its_operators_in_one_call(self, monkeypatch, n):
         lifts = []
@@ -428,8 +412,6 @@ class TestStoredEntries:
         assert run.probability.real > 0
         with pytest.raises(ValueError, match="up to 6 qubits"):
             run.rho
-        with pytest.raises(ValueError, match="exceeds the configured maximum 6"):
-            run_protocol_average(p, Convention.PHYSICAL)
         six = run_protocol_branch(make_params(n_qubits=6), "011010", Convention.PHYSICAL)
         assert six.rho.shape == (64, 64)
 
@@ -581,22 +563,6 @@ class TestLift:
             assert diagonal or np.count_nonzero(op) <= 1, op
 
 
-class TestRunProtocolAverage:
-    def test_normalized_output_physical(self):
-        p = make_params(n_qubits=3, eta=2.2)
-        rho, total = run_protocol_average(p, Convention.PHYSICAL)
-        assert rho.shape == (8, 8)
-        np.testing.assert_allclose(total, 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.trace(rho), 1.0, atol=1e-12)
-
-    def test_degenerate_total_weight_raises(self):
-        # Two-sided multiplication puts a zero of the total weight at
-        # theta=pi/2, eta=pi/2 for an undamped register.
-        p = make_params(n_qubits=2, theta=math.pi / 2, eta=math.pi / 2, r=0.0)
-        with pytest.raises(DegeneracyError, match="vanishes"):
-            run_protocol_average(p, Convention.PAPER)
-
-
 def qfi_loop(state_at, phi0, step=1e-5):
     """qfi_general as an explicit double loop over eigenpairs (the reference)."""
     rho = np.asarray(state_at(phi0), dtype=np.complex128)
@@ -635,6 +601,17 @@ class TestQfiGeneral:
         want = qfi_loop(family, 0.0)
         assert abs(qfi_general(family, 0.0) - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11])
+    def test_scales_with_the_state(self, scale):
+        # The information of c rho is c times that of rho: the eigenpair
+        # cutoff is relative to the largest eigenvalue, not absolute.
+        p = make_params(n_qubits=3, gamma=1.1, phi0=0.4, r=0.3)
+        rho = sum(b.rho for b in run_all_branches(p, Convention.PHYSICAL))
+        want = qfi_general(lambda d: phase_imprint(rho, d), 0.0)
+        got = qfi_general(lambda d: phase_imprint(scale * rho, d), 0.0)
+        assert want > 0.01
+        assert abs(got - scale * want) <= 1e-9 * scale * want
+
     def test_pure_balanced_state_rate_n(self):
         # Collective-phase information of a pure balanced superposition is
         # exactly N^2.
@@ -661,27 +638,6 @@ class TestQfiGeneral:
             qfi_general(family, 0.0, step=1e-8)
         with pytest.raises(ValueError, match="step"):
             qfi_general(family, 0.0, step=1e-2)
-
-
-class TestFidelityPure:
-    def test_perfect_overlap(self):
-        psi = ghz_vector(2, math.pi / 2, 0.9)
-        rho = np.outer(psi, psi.conj())
-        assert fidelity_pure(psi, rho) == pytest.approx(1.0, abs=1e-14)
-
-    def test_orthogonal(self):
-        psi = np.array([1, 0, 0, 0], dtype=np.complex128)
-        rho = np.diag([0, 1, 0, 0]).astype(np.complex128)
-        assert fidelity_pure(psi, rho) == 0.0
-
-    def test_clipping(self):
-        psi = np.array([1.0, 0.0], dtype=np.complex128)
-        rho = np.diag([1.0 + 1e-13, 0.0]).astype(np.complex128)
-        assert fidelity_pure(psi, rho) == 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            fidelity_pure(np.zeros(2), np.eye(4))
 
 
 class TestDoNothingBaseline:

@@ -13,7 +13,6 @@ import pytest
 from ghzprotect.operators import (
     adc_basis_action,
     adc_kraus,
-    decay_probability,
     flip_op,
     rotation_op,
     weak_meas_op,
@@ -169,20 +168,3 @@ class TestAdcBasisAction:
     def test_domain_error(self):
         with pytest.raises(ValueError, match="r must"):
             adc_basis_action(-0.5)
-
-
-class TestDecayProbability:
-    def test_half_life(self):
-        assert decay_probability(1.0, math.log(2)) == pytest.approx(0.5, abs=1e-15)
-
-    def test_zero_rate(self):
-        assert decay_probability(0.0, 5.0) == 1.0
-
-    def test_zero_time(self):
-        assert decay_probability(2.3, 0.0) == 1.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError, match="rate"):
-            decay_probability(-1.0, 1.0)
-        with pytest.raises(ValueError, match="t must"):
-            decay_probability(1.0, -1.0)

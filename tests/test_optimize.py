@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from ghzprotect import optimize, structured
 from ghzprotect.dense import DENSE_MAX_QUBITS, aggregate_metrics_dense, do_nothing_baseline
@@ -285,6 +288,49 @@ class TestUnitProbabilityConstraint:
         b = maximize_fidelity_at_unit_probability(0.25, GHZ10, SMALL)
         assert a == b
         assert a.objective is Objective.FIDELITY
+
+
+def unit_probability_fidelity(theta, n, gamma, r):
+    """F at eta = 0, where the total weight is 1, with x = sin^2(theta/2):
+
+        (c2^2 + s2^2) (1 - r x)^N + 2 c2 s2 [(r x)^N + (4 x (1 - x) (1 - r))^(N/2)].
+    """
+    c2, s2 = math.cos(gamma / 2) ** 2, math.sin(gamma / 2) ** 2
+    x = np.sin(theta / 2) ** 2
+    return (c2**2 + s2**2) * (1 - r * x) ** n + 2 * c2 * s2 * (
+        (r * x) ** n + (4 * x * (1 - x) * (1 - r)) ** (n / 2)
+    )
+
+
+def max_unit_probability_fidelity(n, gamma, r):
+    """The maximum over theta in [0, pi]: a dense scan, its best local maxima polished."""
+    thetas = np.linspace(0.0, math.pi, 4001)
+    values = unit_probability_fidelity(thetas, n, gamma, r)
+    padded = np.concatenate([[-np.inf], values, [-np.inf]])
+    peaks = np.flatnonzero((values >= padded[:-2]) & (values >= padded[2:]))
+    best = values.max()
+    for i in peaks[np.argsort(values[peaks])[-3:]]:
+        bounds = (thetas[max(i - 1, 0)], thetas[min(i + 1, thetas.size - 1)])
+        polished = minimize_scalar(
+            lambda t: -unit_probability_fidelity(t, n, gamma, r),
+            bounds=bounds, method="bounded", options={"xatol": 1e-12},
+        )
+        best = max(best, -polished.fun)
+    return best
+
+
+class TestUnitProbabilityMaximum:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 64),
+        gamma=st.floats(0.05, math.pi - 0.05),
+        r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+        convention=st.sampled_from(Convention),
+    )
+    def test_the_search_finds_the_maximum_over_theta(self, n, gamma, r, convention):
+        want = max_unit_probability_fidelity(n, gamma, r)
+        res = maximize_fidelity_at_unit_probability(r, ghz(n, gamma), convention=convention)
+        assert abs(res.value - want) <= 1e-9 * want
 
 
 class TestParetoScan:
