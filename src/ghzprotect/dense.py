@@ -13,7 +13,7 @@ only on demand (:attr:`BranchRun.rho`, up to N = 6).
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -91,13 +91,14 @@ def ghz_state(n: int, gamma: float, phi0: float) -> np.ndarray:
 def _lift(ops: np.ndarray, sites: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Embed single-qubit operators, ``ops[j]`` at site ``sites[j]``, in an N-qubit register.
 
-    Returns (src, coef) of shape (len(ops), 2^N): row i of K_j = I (x) ops[j]
-    (x) I holds ``coef[j, i]`` in column ``src[j, i]`` and zeros elsewhere
-    (``coef[j, i]`` is 0 for a zero row), without forming K_j.  A diagonal
-    operator gives ``src[j, i] = i``; one with its one entry at (a, b) maps
-    the rows whose site bit is a to the columns whose site bit is b.  Raises
-    ValueError, naming the site, for an operator with two nonzero entries in
-    a row, which this form cannot hold.
+    Only the operators' nonzero pattern is read.  Returns (src, gather) of
+    shape (len(ops), 2^N): row i of K_j = I (x) ops[j] (x) I holds
+    ``ops[j].flat[gather[j, i]]`` in column ``src[j, i]`` and zeros
+    elsewhere (that entry is 0 for a zero row), without forming K_j.  A
+    diagonal operator gives ``src[j, i] = i``; one with its one entry at
+    (a, b) maps the rows whose site bit is a to the columns whose site bit
+    is b.  Raises ValueError, naming the site, for an operator with two
+    nonzero entries in a row, which this form cannot hold.
     """
     nonzero = ops != 0
     crowded = nonzero.sum(axis=2).max(axis=1) > 1
@@ -105,14 +106,13 @@ def _lift(ops: np.ndarray, sites: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
         j = int(np.argmax(crowded))
         raise ValueError(
             f"operator at site {sites[j]} has two nonzero entries in a row, "
-            f"got {ops[j].tolist()}"
+            f"got nonzero pattern {nonzero[j].astype(int).tolist()}"
         )
     shift = (n - 1 - sites)[:, None]
     index = np.arange(2**n)
     bit = (index >> shift) & 1  # each row's bit at the site
     col = np.take_along_axis(nonzero.argmax(axis=2), bit, axis=1)  # 0 if none
-    src = index + ((col - bit) << shift)
-    return src, np.take_along_axis(ops.reshape(-1, 4), 2 * bit + col, axis=1)
+    return index + ((col - bit) << shift), 2 * bit + col
 
 
 def _pattern_bits(pattern: str, n: int) -> list[int]:
@@ -149,41 +149,69 @@ def _kraus_ops(
     return [f @ e @ f @ m for e in damping]
 
 
-def _site_terms(
-    p: ProtocolParams, bits: list[tuple[int, ...]]
+@lru_cache(maxsize=32)
+def _site_structure(
+    n: int, bits: tuple[tuple[int, ...], ...], nonzero: tuple[bool, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each site's two Kraus terms on each of its bits ``bits[site]``, on the stored entries.
+    """Read-only (index, left, right) gather tables of :func:`_site_terms`.
 
-    All operators are lifted in one call (:func:`_lift`).  Returns (index, left,
-    right) of shape (N, len(bits[0]), 2, 2^N + 2): stored entry k of
-    K rho K^dag is the one product ``(left[k] * rho[index[k]]) * right[k]``
-    that ``(K @ rho) @ K^dag`` forms.  Raises ValueError, naming the site,
-    if a term moves a stored entry to one that is not stored: the entries
-    reading a stored one through nonzero coefficients then outnumber the
-    stored entries that do.
+    ``nonzero`` is ``terms != 0``, flattened, for the four single-qubit
+    terms ``terms[o, j]`` = F_o E_j F_o M_o, which fixes every table: all
+    operators are lifted in one call (:func:`_lift`), and ``left`` and
+    ``right`` index ``terms.reshape(-1)``.  Raises ValueError, naming the
+    site, if a term moves a stored entry to one that is not stored: the
+    entries reading a stored one through nonzero coefficients then
+    outnumber the stored entries that do.
     """
-    n = p.n_qubits
     rows, cols = _positions(n)
-    damping = adc_kraus(p.r)
-    ops = np.array([_kraus_ops(p, o, damping) for o in (0, 1)])[np.array(bits)]
-    sites = np.arange(n).repeat(ops[0].size // 4)  # (site, bit, term) order
-    src, coef = _lift(ops.reshape(-1, 2, 2), sites, n)
+    # Each lifted operator's row of terms.reshape(4, 2, 2), in (site, bit, term) order.
+    term = (2 * np.array(bits)[..., None] + np.arange(2)).reshape(-1)
+    mask = np.array(nonzero).reshape(4, 2, 2)[term]
+    sites = np.arange(n).repeat(term.size // n)
+    src, gather = _lift(mask, sites, n)
     index = _stored_index(src[:, rows], src[:, cols])
-    left, right = coef[:, rows], coef[:, cols].conj()
+    live = np.take_along_axis(mask.reshape(-1, 4), gather, axis=1)
     count, dim = src.shape
     offsets = dim * np.arange(count)[:, None]
-    readers = np.bincount((src + offsets)[coef != 0], minlength=count * dim)
+    readers = np.bincount((src + offsets)[live], minlength=count * dim)
     readers = readers.reshape(count, dim)
     reached = (readers[:, rows] * readers[:, cols]).sum(axis=1)
-    kept = (left != 0) & (right != 0) & (index < dim + 2)
+    kept = live[:, rows] & live[:, cols] & (index < dim + 2)
     leaks = reached != np.count_nonzero(kept, axis=1)
     if leaks.any():
         raise ValueError(
             f"a Kraus operator at site {np.argmax(leaks) * n // count} moves "
             f"an entry off the diagonal and the corners"
         )
+    gather += 4 * term[:, None]
     shape = (n, len(bits[0]), 2, rows.size)
-    return index.reshape(shape), left.reshape(shape), right.reshape(shape)
+    tables = (
+        index.reshape(shape), gather[:, rows].reshape(shape), gather[:, cols].reshape(shape)
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _site_terms(
+    p: ProtocolParams, bits: list[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each site's two Kraus terms on each of its bits ``bits[site]``, on the stored entries.
+
+    Returns (index, left, right) of shape (N, len(bits[0]), 2, 2^N + 2):
+    stored entry k of K rho K^dag is the one product
+    ``(left[k] * rho[index[k]]) * right[k]`` that ``(K @ rho) @ K^dag``
+    forms.  The index tables come from :func:`_site_structure`, built once
+    per register, bits and zero pattern; only the coefficients are
+    gathered here.
+    """
+    damping = adc_kraus(p.r)
+    terms = np.array([_kraus_ops(p, o, damping) for o in (0, 1)])
+    index, left, right = _site_structure(
+        p.n_qubits, tuple(bits), tuple((terms != 0).ravel().tolist())
+    )
+    flat = terms.reshape(-1)
+    return index, flat[left], flat[right].conj()
 
 
 def _walk(p: ProtocolParams, bits: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
@@ -291,6 +319,14 @@ def run_all_branches(
     return _branch_runs(p, convention, patterns, [(0, 1)] * n)
 
 
+@lru_cache(maxsize=16)
+def _popcounts(dim: int) -> np.ndarray:
+    """Read-only number of set bits of each index 0..dim-1."""
+    weights = np.array([bin(i).count("1") for i in range(dim)])
+    weights.flags.writeable = False
+    return weights
+
+
 def phase_imprint(rho: np.ndarray, delta: float) -> np.ndarray:
     """Apply the collective phase diag(1, e^{i delta})^{tensor N} to rho.
 
@@ -302,8 +338,7 @@ def phase_imprint(rho: np.ndarray, delta: float) -> np.ndarray:
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"state dimension {dim} is not a power of two")
-    weights = np.array([bin(i).count("1") for i in range(dim)])
-    d = np.exp(1j * delta * weights)
+    d = np.exp(1j * delta * _popcounts(dim))
     return (d[:, None] * rho) * d.conj()[None, :]
 
 

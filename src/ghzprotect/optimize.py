@@ -467,11 +467,12 @@ def pareto_scan(
         ("probability", "fidelity"),
     )
     prob, fid = grids["probability"], grids["fidelity"]
+    i, j = np.nonzero(np.isfinite(fid) & np.isfinite(prob))  # row-major
     points = [
-        ParetoPoint(float(thetas[i]), float(etas[j]), float(fid[i, j]), float(prob[i, j]))
-        for i in range(thetas.size)
-        for j in range(etas.size)
-        if math.isfinite(fid[i, j]) and math.isfinite(prob[i, j])
+        ParetoPoint(*point)
+        for point in zip(
+            thetas[i].tolist(), etas[j].tolist(), fid[i, j].tolist(), prob[i, j].tolist()
+        )
     ]
     reference = do_nothing_baseline(
         dataclasses.replace(p_base, theta=math.pi / 2.0, eta=0.0, r=r)

@@ -197,9 +197,10 @@ def _check_dense_vs_structured_states(rng) -> tuple[bool, str]:
     for n in (1, 2, 3, 4):
         for convention in (Convention.PAPER, Convention.PHYSICAL):
             p = _draw_params(rng, n)
+            branches = run_all_branches(p, convention)
             for k in range(n + 1):
-                pattern = "0" * k + "1" * (n - k)
-                dense_rho = run_protocol_branch(p, pattern, convention).rho
+                # Record 0^k 1^(n-k), the first of its class in binary order.
+                dense_rho = branches[2 ** (n - k) - 1].rho
                 exported = state_export(p, k, convention)
                 if np.max(np.abs(dense_rho - exported)) > 1e-10:
                     return _fail(f"params={p} convention={convention.value} k={k}")

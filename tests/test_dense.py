@@ -6,6 +6,7 @@ symmetry, rotation-angle independence) are exercised over seeded random
 parameter draws.
 """
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -376,13 +377,70 @@ class TestPrefixTree:
         original = dense._lift
         monkeypatch.setattr(dense, "_lift", counting_lift)
         p = make_params(n_qubits=n)
+        dense._site_structure.cache_clear()
         run_all_branches(p, Convention.PAPER)
         # A row per site, bit and Kraus term, in site order (N 2^(N+1) rows
         # when each record lifted its own).
         assert lifts == [(4 * n, [site for site in range(n) for _ in range(4)], n)]
         lifts.clear()
+        # The same register and zero pattern reuse the cached tables.
+        run_all_branches(dataclasses.replace(p, gamma=0.4, eta=2.1, r=0.7), Convention.PHYSICAL)
+        aggregate_metrics_dense(p, Convention.PAPER)
+        assert lifts == []
         run_protocol_branch(p, "1" * n, Convention.PAPER)
         assert lifts == [(2 * n, [site for site in range(n) for _ in range(2)], n)]
+        lifts.clear()
+        run_protocol_branch(p, "1" * n, Convention.PHYSICAL)
+        assert lifts == []
+        damping = adc_kraus(p.r)
+        nonzero = np.array([dense._kraus_ops(p, o, damping) for o in (0, 1)]) != 0
+        tables = dense._site_structure(n, ((0, 1),) * n, tuple(nonzero.ravel().tolist()))
+        assert lifts == []
+        assert not any(table.flags.writeable for table in tables)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 6),
+        gamma=st.floats(0.01, math.pi - 0.01),
+        phi0=st.floats(0.0, 2 * math.pi),
+        theta=st.floats(0.01, math.pi - 0.01),
+        eta=st.floats(0.0, 2 * math.pi),
+        r=st.floats(0.01, 0.99),
+        zero=st.sampled_from(
+            [("theta", 0.0), ("theta", math.pi), ("r", 0.0), ("r", 1.0)]
+        ),
+        record=st.integers(0, 2**6 - 1),
+    )
+    def test_warm_and_cold_index_tables_give_the_same_bits(
+        self, n, gamma, phi0, theta, eta, r, zero, record
+    ):
+        # The point with exact zeros runs right after the generic one at the
+        # same N, and before it, so tables shared by mistake between the two
+        # would be reused.  At theta = pi the entry cos(pi/2) is 6e-17, not 0,
+        # so that point shares the generic point's tables.
+        generic = ProtocolParams(
+            n_qubits=n, gamma=gamma, phi0=phi0, theta=theta, eta=eta, r=r,
+            extended_theta=True,
+        )
+        zeros = dataclasses.replace(generic, **dict([zero]))
+        one_record = [(int(ch),) for ch in format(record % 2**n, f"0{n}b")]
+        runs = [(p, bits) for p in (generic, zeros) for bits in ([(0, 1)] * n, one_record)]
+
+        def walk(p, bits):
+            values, rot = dense._walk(p, bits)
+            return values.tobytes(), rot.tobytes()
+
+        cold = []
+        for p, bits in runs:
+            dense._site_structure.cache_clear()
+            cold.append(walk(p, bits))
+        for order in (runs, runs[::-1]):
+            dense._site_structure.cache_clear()
+            want = cold if order is runs else cold[::-1]
+            assert [walk(p, bits) for p, bits in order] == want
+            misses = dense._site_structure.cache_info().misses
+            assert [walk(p, bits) for p, bits in order] == want
+            assert dense._site_structure.cache_info().misses == misses
 
 
 class TestStoredEntries:
@@ -394,9 +452,12 @@ class TestStoredEntries:
         def swapping(outcome, theta):
             return np.array([[0.0, 0.6], [0.8, 0.0]], dtype=np.complex128)
 
+        p = make_params(n_qubits=3)
+        run_all_branches(p, Convention.PHYSICAL)  # warms the cache at N = 3
         monkeypatch.setattr(dense, "weak_meas_op", swapping)
-        with pytest.raises(ValueError, match="site 0"):
-            run_all_branches(make_params(n_qubits=3), Convention.PHYSICAL)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="site 0"):
+                run_all_branches(p, Convention.PHYSICAL)
 
     def test_a_branch_state_has_the_diagonal_and_the_corners(self):
         p = make_params(n_qubits=4, theta=1.1, r=0.4, eta=0.9)
@@ -529,8 +590,9 @@ class TestLift:
         n = 3
         ops = np.array([op] + [op[::-1, ::-1]] * n)
         sites = np.array([site, *range(n)])
-        src, coef = dense._lift(ops, sites, n)
-        assert src.shape == coef.shape == (n + 1, 2**n)
+        src, gather = dense._lift(ops, sites, n)
+        assert src.shape == gather.shape == (n + 1, 2**n)
+        coef = np.take_along_axis(ops.reshape(-1, 4), gather, axis=1)
         for row_src, row_coef, one, at in zip(src, coef, ops, sites):
             got = np.zeros((2**n, 2**n), dtype=np.complex128)
             got[np.arange(2**n), row_src] = row_coef  # row i holds coef[i] in column src[i]

@@ -17,6 +17,7 @@ from ghzprotect.optimize import (
     GridSpec,
     Objective,
     OptResult,
+    ParetoPoint,
     ParetoScanResult,
     _best_per_level,
     maximize_fidelity_at_unit_probability,
@@ -384,6 +385,27 @@ class TestParetoScan:
     def test_rejects_rotation_range_beyond_pi(self):
         with pytest.raises(ValueError):
             pareto_scan(0.5, GHZ10, GridSpec())
+
+    def test_points_are_the_per_point_loops(self):
+        # The per-point loop the index lists replaced (the reference), on a
+        # grid with undefined points.
+        r, grid = 0.3, GridSpec(theta_range=(0.0, math.pi, 41), eta_range=(0.0, math.pi, 41))
+        thetas, etas = np.linspace(*grid.theta_range), np.linspace(*grid.eta_range)
+        grids = optimize._grid_values(
+            GHZ10, r, thetas[:, None], etas[None, :], Convention.PAPER,
+            ("probability", "fidelity"),
+        )
+        prob, fid = grids["probability"], grids["fidelity"]
+        want = [
+            ParetoPoint(float(thetas[i]), float(etas[j]), float(fid[i, j]), float(prob[i, j]))
+            for i in range(thetas.size)
+            for j in range(etas.size)
+            if math.isfinite(fid[i, j]) and math.isfinite(prob[i, j])
+        ]
+        assert 0 < len(want) < thetas.size * etas.size
+        got = pareto_scan(r, GHZ10, grid).points
+        assert got == want
+        assert all(type(x) is float for point in got for x in point)
 
 
 #: (id, r grid, base, grid, convention) of the sweep-equals-searches test.

@@ -163,6 +163,42 @@ class TestClosedformWeightCheck:
         assert scalar_calls == [(p, Convention.PAPER)]
 
 
+class TestDenseStatesCheck:
+    check = staticmethod(validate._check_dense_vs_structured_states)
+
+    def test_a_pass_walks_each_draw_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            validate, "run_all_branches", counting(calls, validate.run_all_branches)
+        )
+        monkeypatch.setattr(validate, "run_protocol_branch", refuse)
+        assert self.check(np.random.default_rng(0)) == (True, "")
+        assert [(p.n_qubits, convention) for p, convention in calls] == [
+            (n, convention)
+            for n in (1, 2, 3, 4)
+            for convention in (Convention.PAPER, Convention.PHYSICAL)
+        ]
+
+    @pytest.mark.parametrize(
+        "n, convention, k",
+        [(1, Convention.PAPER, 0), (3, Convention.PHYSICAL, 2), (4, Convention.PAPER, 4)],
+    )
+    def test_a_failure_names_the_perturbed_point(self, monkeypatch, n, convention, k):
+        export = validate.state_export
+        drawn = {}
+
+        def perturbed(p, class_k, class_convention):
+            rho = export(p, class_k, class_convention)
+            if (p.n_qubits, class_convention, class_k) == (n, convention, k):
+                drawn["p"] = p
+                rho = rho + 1e-9
+            return rho
+
+        monkeypatch.setattr(validate, "state_export", perturbed)
+        result = self.check(np.random.default_rng(0))
+        assert result == (False, f"params={drawn['p']} convention={convention.value} k={k}")
+
+
 class TestUnitWeightCheck:
     check = staticmethod(validate._check_unit_weight_at_zero_rotation)
 
