@@ -27,7 +27,10 @@ def weak_meas_op(outcome: int, theta: float) -> np.ndarray:
     M_0 = diag(cos(theta/2), sin(theta/2)) and M_1 is the same with the
     entries swapped, so M_0^dag M_0 + M_1^dag M_1 = I for every strength.
     theta = pi/2 makes both operators proportional to the identity (no
-    measurement); theta = 0 or pi is a projective measurement.
+    measurement); theta = 0 is a projective measurement, with an exact 0
+    entry.  theta = pi is projective only to rounding: cos(pi/2) evaluates
+    to 6.1e-17, not 0, and is kept so, as every output at theta = pi
+    carries its bits.
 
     Args:
         outcome: measurement record bit, 0 or 1.

@@ -251,7 +251,7 @@ class MetricsRow:
             probability=total.real,
             fidelity=fid.real,
             qfi=qfi.real,
-            imag_residual=max(abs(z.imag) for z in aggregates),
+            imag_residual=max(abs(total.imag), abs(fid.imag), abs(qfi.imag)),
             convention=convention,
             engine=engine,
         )

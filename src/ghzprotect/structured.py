@@ -15,7 +15,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -176,12 +176,13 @@ def _paired_complex(
     returns NaN raises :class:`DegeneracyError` when it is reached.
     """
     validate_params(p, max_qubits=max_qubits)
-    axes = (np.array(axis, dtype=np.float64) for axis in zip(*points))
-    totals, fids, qfis = (
-        z.tolist()
-        for z in _aggregates(p.n_qubits, p.gamma, *axes, convention, paired=True)
+    rs, thetas, etas = [np.array(axis, dtype=np.float64) for axis in zip(*points)]
+    totals, fids, qfis = _aggregates(
+        p.n_qubits, p.gamma, rs, thetas, etas, convention, paired=True
     )
-    for (r, theta, eta), total, fid, qfi in zip(points, totals, fids, qfis):
+    for (r, theta, eta), total, fid, qfi in zip(
+        points, totals.tolist(), fids.tolist(), qfis.tolist()
+    ):
         if cmath.isnan(total) or cmath.isnan(qfi):
             where = f"theta={theta}, eta={eta}, r={r}"
             if cmath.isnan(total):
@@ -286,6 +287,43 @@ def _multiplicities(n: int) -> np.ndarray:
     return mult
 
 
+class _ClassAxis(NamedTuple):
+    """Read-only class-axis tables of one register size, a row per class k = 0..n.
+
+    ``phase_exponents`` is 2k - n as complex, ``k`` and ``n_minus_k`` are
+    the float exponents of the class powers (numpy raises a float to an
+    int exponent through the same float power loop, so the bits are those
+    of int exponents) and ``multiplicities`` is C(n, k).  Each has shape
+    (n + 1, 1, ..., 1), with ``rank`` trailing axes to broadcast against
+    the points.
+    """
+
+    phase_exponents: np.ndarray
+    k: np.ndarray
+    n_minus_k: np.ndarray
+    multiplicities: np.ndarray
+
+    def last(self) -> _ClassAxis:
+        """The tables of class n alone, as views."""
+        return _ClassAxis(*(table[-1:] for table in self))
+
+
+@functools.lru_cache(maxsize=32)
+def _class_axis(n: int, rank: int) -> _ClassAxis:
+    """The :class:`_ClassAxis` of an n-qubit register against ``rank`` point axes."""
+    shape = (n + 1,) + (1,) * rank
+    k = np.arange(n + 1, dtype=np.float64).reshape(shape)
+    tables = _ClassAxis(
+        (2.0 * k - n).astype(np.complex128),
+        k,
+        n - k,
+        _multiplicities(n).reshape(shape),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _int_power(z: np.ndarray, n: int) -> np.ndarray:
     """z**n for an integer n >= 1 by repeated squaring."""
     result = z
@@ -317,16 +355,16 @@ def _closed_forms(
     theta,
     eta,
     convention: Convention,
-    k: np.ndarray,
+    axis: _ClassAxis,
     probability: bool,
     fidelity: bool,
 ):
-    """(probability, fidelity, terms) over r and the full-rank theta/eta of _broadcast.
+    """(probability, fidelity, terms) over r and full-rank theta/eta (see _broadcast).
 
     The O(1) forms of :func:`_aggregates`: sum_k C(n,k) a^k b^(n-k) e^(2k-n)
     = e^n (a + b e^-2)^n, with e^n taken whole so that |e^n| <= 1 holds
     after rounding; both are NaN where |P| < 1e-13, and each is None
-    unless asked for.  ``k`` is a class axis ending at class n, and
+    unless asked for.  ``axis`` is a class axis ending at class n, and
     ``terms`` are what the QFI class sum reuses: the factors (c2, s2, u, q,
     vr^n, w), the phases e^(2k-n) and the |P| < 1e-13 mask.  Without the
     probability and the fidelity, P is not formed when a bound shows that
@@ -335,14 +373,16 @@ def _closed_forms(
     c2, s2 = math.cos(gamma / 2.0) ** 2, math.sin(gamma / 2.0) ** 2
     half = theta / 2.0
     u, v = np.cos(half) ** 2, np.sin(half) ** 2
-    q, vr = v * (1.0 - r), v * r
+    kept = 1.0 - r  # the share of the excitation that the damping keeps
+    q, vr = v * kept, v * r
     vr_n = vr**n
-    w = np.sin(theta) / 2.0 * np.sqrt(1.0 - r)
+    w = np.sin(theta) / 2.0 * np.sqrt(kept)
     if convention is Convention.PAPER:
-        phase = np.exp(1j * eta * (2 * k - n))  # e^(2k-n), a row per class
+        # e^(2k-n), a row per class
+        phase = np.exp(1j * eta * axis.phase_exponents)
         e_back = np.exp(-2j * eta)
     else:
-        phase = np.ones(k.shape[:1] + eta.shape, dtype=np.complex128)
+        phase = np.ones(axis.k.shape[:1] + eta.shape, dtype=np.complex128)
         e_back = phase[0]
     e_n = phase[-1]
 
@@ -360,8 +400,12 @@ def _closed_forms(
             coherence_n = (2.0 * w * np.cos(eta)) ** n
         fid_num = (c2 * c2 + s2 * s2) * e_n * _int_power(u + q_back, n)
         fid_num += 2.0 * c2 * s2 * (vr_n * e_n + coherence_n)
-        fid = np.where(degenerate, np.nan, fid_num / p_total)
-    p_total = np.where(degenerate, np.nan, p_total) if probability else None
+        fid = fid_num / p_total
+        fid[degenerate] = np.nan
+    if probability:
+        p_total[degenerate] = np.nan
+    else:
+        p_total = None
     return p_total, fid, (c2, s2, u, q, vr_n, w, phase, degenerate)
 
 
@@ -379,9 +423,9 @@ def _weight_clears_cutoff(scale: float, u_vr, q, e_back, n: int) -> bool:
 
 
 def _class_sum(
-    n: int, k: np.ndarray, shape: tuple[int, ...], terms, paired: bool = False
+    n: int, axis: _ClassAxis, shape: tuple[int, ...], terms, paired: bool = False
 ) -> np.ndarray:
-    """The QFI of :func:`_aggregates`: its class sum over the full class axis ``k``.
+    """The QFI of :func:`_aggregates`: its class sum over the full class ``axis``.
 
     On a grid of two points or more, the classes add one at a time, in
     order of k, so the grid has, row by row, the bits of its rows evaluated
@@ -401,12 +445,12 @@ def _class_sum(
     pole_below, drop_below = class_cutoffs(c_abs)
 
     # A_k + B_k = pop_a[k] phase[k] + pop_b[k] conj(phase[k]).
-    powers = u**k * q ** k[::-1]
+    powers = u**axis.k * q**axis.n_minus_k
     pop_a, pop_b = c2 * powers, s2 * powers[::-1]
     pop_a[n] += s2 * vr_n
     pop_b[0] += c2 * vr_n
     plus, minus = pop_a + pop_b, pop_a - pop_b
-    weight = _multiplicities(n).reshape(k.shape) * (4.0 * n**2 * c_sq)
+    weight = axis.multiplicities * (4.0 * n**2 * c_sq)
 
     if paired:
         rows = np.empty(shape + (n + 1,), dtype=np.complex128)
@@ -417,7 +461,7 @@ def _class_sum(
         d[size < drop_below] = np.inf  # a dropped class adds nothing
         d[size < pole_below] = np.nan
         np.divide(weight, d, out=d)
-        qfi = rows.sum(axis=1)
+        qfi = np.add.reduce(rows, axis=1)
     else:
         clear = _clear_classes(plus, minus, phase)
         qfi = np.zeros(shape, dtype=np.complex128)
@@ -493,24 +537,33 @@ def _aggregates(
     alone.  :func:`metrics_grid` asks for every field; the optimizer's
     grids ask only for the fields their search reads.
 
-    With ``paired``, r, theta and eta are 1-D arrays of one length L, and
-    point i is (r[i], theta[i], eta[i]): each point's QFI has the bits of
-    its one-point call, whatever L (see :func:`_class_sum`).  This is the
-    scalar path, :func:`_paired_complex`.  A call whose broadcast shape
-    holds one point is the paired call of that point.
+    With ``paired``, r, theta and eta are 1-D arrays of one length L, used
+    as given, and point i is (r[i], theta[i], eta[i]): each point's QFI has
+    the bits of its one-point call, whatever L (see :func:`_class_sum`).
+    This is the scalar path, :func:`_paired_complex`.  A call whose
+    broadcast shape holds one point is the paired call of that point.  The
+    class-axis tables come from :func:`_class_axis`, built once per
+    register size and rank.
     """
-    (r, theta, eta), out_shape = _broadcast(r, theta, eta)
-    shape = out_shape or (1,)
-    if not paired and math.prod(shape) == 1:  # one point: the paired call of L = 1
-        r, theta, eta = (np.reshape(x, 1) for x in (r, theta, eta))
-        shape, paired = (1,), True
-    classes = np.arange(n + 1) if qfi else np.array([n])
-    k = classes.reshape(classes.shape + (1,) * len(shape))  # the class axis
+    if paired:
+        shape = out_shape = theta.shape
+    else:
+        (r, theta, eta), out_shape = _broadcast(r, theta, eta)
+        shape = out_shape or (1,)
+        if math.prod(shape) == 1:  # one point: the paired call of L = 1
+            r, theta, eta = (np.reshape(x, 1) for x in (r, theta, eta))
+            shape, paired = (1,), True
+    axis = _class_axis(n, len(shape))
+    if not qfi:
+        axis = axis.last()
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_total, fid, terms = _closed_forms(
-            n, gamma, r, theta, eta, convention, k, probability, fidelity
+            n, gamma, r, theta, eta, convention, axis, probability, fidelity
         )
-        info = _class_sum(n, k, shape, terms, paired) if qfi else None
+        info = _class_sum(n, axis, shape, terms, paired) if qfi else None
 
-    return tuple(None if z is None else z.reshape(out_shape) for z in (p_total, fid, info))
+    fields = (p_total, fid, info)
+    if shape == out_shape:
+        return fields
+    return tuple(None if z is None else z.reshape(out_shape) for z in fields)

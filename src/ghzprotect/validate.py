@@ -7,7 +7,6 @@ versions.  Failures print the offending parameters.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -42,11 +41,14 @@ from .optimize import (
 )
 from .params import (
     Convention,
+    Engine,
+    MetricsRow,
     ProtocolParams,
     branch_classes,
 )
 from .structured import (
     _aggregates,
+    _paired_complex,
     aggregate_complex,
     aggregate_metrics,
     branch_elements,
@@ -359,13 +361,24 @@ def _check_unit_weight_at_zero_rotation(rng) -> tuple[bool, str]:
     return _ok()
 
 
+def _physical_rows_at_and_without_rotation(p: ProtocolParams) -> list[MetricsRow]:
+    """The physical rows of ``p`` at its eta and at eta = 0, in one paired call.
+
+    Each row has the bits of its own :func:`aggregate_metrics` call, and
+    the first undefined point raises its error as that call would.
+    """
+    points = [(p.r, p.theta, p.eta), (p.r, p.theta, 0.0)]
+    paired = _paired_complex(p, points, Convention.PHYSICAL)
+    return [
+        MetricsRow.realized(point, aggregates, Convention.PHYSICAL, Engine.STRUCTURED)
+        for point, aggregates in zip(points, paired)
+    ]
+
+
 def _check_physical_rotation_invariance(rng) -> tuple[bool, str]:
     for _ in range(10):
         p = _draw_params(rng, 6, theta_max=math.pi)
-        at_eta = aggregate_metrics(p, Convention.PHYSICAL)
-        at_zero = aggregate_metrics(
-            dataclasses.replace(p, eta=0.0), Convention.PHYSICAL
-        )
+        at_eta, at_zero = _physical_rows_at_and_without_rotation(p)
         if (
             abs(at_eta.probability - at_zero.probability) > 1e-10
             or abs(at_eta.qfi - at_zero.qfi) > 1e-10
@@ -377,10 +390,7 @@ def _check_physical_rotation_invariance(rng) -> tuple[bool, str]:
 def _check_fidelity_peaks_at_zero_rotation(rng) -> tuple[bool, str]:
     for _ in range(10):
         p = _draw_params(rng, 6, theta_max=math.pi)
-        at_eta = aggregate_metrics(p, Convention.PHYSICAL)
-        at_zero = aggregate_metrics(
-            dataclasses.replace(p, eta=0.0), Convention.PHYSICAL
-        )
+        at_eta, at_zero = _physical_rows_at_and_without_rotation(p)
         if at_eta.fidelity > at_zero.fidelity + 1e-12:
             return _fail(f"params={p}")
     return _ok()

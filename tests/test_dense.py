@@ -313,9 +313,11 @@ def assert_rows_agree(got, want, scales):
 def signed_zero_examples(test):
     """Add the points where Kraus entries are exactly 0 as explicit examples.
 
-    At theta in {0, pi} a measurement entry vanishes and at r in {0, 1} a
-    damping entry does, so an elementwise product could leave a -0 where
-    the matrix product writes +0.
+    At theta = 0 a measurement entry vanishes and at r in {0, 1} a damping
+    entry does, so an elementwise product could leave a -0 where the
+    matrix product writes +0.  At theta = pi the entry cos(pi/2) is 6.1e-17,
+    not 0: those examples are the nearly projective measurement, with the
+    zero pattern of a generic theta.
     """
     for n, theta, r, convention in itertools.product(
         (1, 6), (0.0, math.pi), (0.0, 1.0), Convention

@@ -32,6 +32,7 @@ from ghzprotect.structured import (
     BranchElements,
     _aggregates,
     _branch_pairs,
+    _class_axis,
     _paired_complex,
     aggregate_complex,
     aggregate_metrics,
@@ -557,6 +558,55 @@ def test_a_one_point_call_of_any_shape_is_the_paired_call(n, gamma, point, shape
     for got, want in zip(one, paired):
         assert got.shape == shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, rank", [(1, 1), (10, 1), (10, 3), (64, 2)])
+def test_class_axis_tables_are_read_only(n, rank):
+    # The cached tables are shared by every call at (n, rank), and so are
+    # the views of class n alone that a call without the class sum reads.
+    axis = _class_axis(n, rank)
+    k = np.arange(n + 1, dtype=np.float64)
+    expected = (2.0 * k - n, k, n - k, [float(math.comb(n, j)) for j in range(n + 1)])
+    for table, values in zip(axis, expected):
+        assert table.shape == (n + 1,) + (1,) * rank
+        assert table.ravel().tolist() == list(values)
+    assert axis.phase_exponents.dtype == np.complex128
+    for table in axis + axis.last():
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
+    assert axis.last().k.ravel().tolist() == [float(n)]
+
+
+def _kernel_bits(n, gamma, point, conv):
+    """The bits of a paired, a grid and a no-class-sum grid kernel call at n."""
+    r, theta, eta = point
+    paired = _aggregates(n, gamma, *(np.array([x]) for x in point), conv, paired=True)
+    thetas = np.array([theta, 0.5 * theta + 0.1, math.pi - theta])[:, None]
+    etas = np.array([eta, 0.0, 2.0 * math.pi - eta, 1.0])[None, :]
+    grid = metrics_grid(n, gamma, 0.0, r, thetas, etas, conv)
+    no_sum = _aggregates(n, gamma, r, thetas, etas, conv, qfi=False)[:2]
+    return [z.tobytes() for z in paired + grid + no_sum]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    ns=st.lists(st.integers(1, 64), min_size=2, max_size=4),
+    gamma=st.floats(0.01, math.pi - 0.01),
+    point=st.tuples(_R, _ANGLE, _ROTATION),
+    conv=st.sampled_from(list(Convention)),
+)
+def test_a_warm_class_axis_cache_keeps_the_bits_of_a_cleared_one(ns, gamma, point, conv):
+    # Each call gives the same bits whether its class-axis tables were just
+    # built or come from the cache, also right after a call at another n.
+    cold = {}
+    for n in ns:
+        _class_axis.cache_clear()
+        cold[n] = _kernel_bits(n, gamma, point, conv)
+    _class_axis.cache_clear()
+    for _ in range(2):  # the first pass fills the cache, the second reads it
+        for n in ns:
+            assert _kernel_bits(n, gamma, point, conv) == cold[n]
 
 
 #: Grid sizes of the field property: a single point, which is the paired

@@ -6,6 +6,7 @@ loops they replaced did, on a pass and on a failure, and the calls are
 counted.
 """
 
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from ghzprotect.params import (
     DegeneracyError,
     ProtocolParams,
 )
-from ghzprotect.structured import aggregate_complex, metrics_grid
+from ghzprotect.structured import aggregate_complex, aggregate_metrics, metrics_grid
 
 THETAS = np.linspace(0.0, math.pi, 10)
 ETAS = np.linspace(0.0, 2.0 * math.pi, 10)
@@ -294,6 +295,40 @@ class TestRotationIdentityCheck:
         with pytest.raises(AssertionError) as raised:
             self.check(np.random.default_rng(0))
         assert str(raised.value) == str(expected.value)
+
+
+class TestRotationChecks:
+    """The two physical rotation checks: one paired call per draw."""
+
+    CHECKS = {
+        "invariance": validate._check_physical_rotation_invariance,
+        "fidelity-peak": validate._check_fidelity_peaks_at_zero_rotation,
+    }
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_each_draw_is_one_paired_call_of_its_two_points(self, monkeypatch, name):
+        calls = []
+        monkeypatch.setattr(
+            validate, "_paired_complex", counting(calls, validate._paired_complex)
+        )
+        monkeypatch.setattr(validate, "aggregate_metrics", refuse)
+        assert self.CHECKS[name](np.random.default_rng(3)) == (True, "")
+        assert len(calls) == 10
+        for p, points, convention in calls:
+            assert points == [(p.r, p.theta, p.eta), (p.r, p.theta, 0.0)]
+            assert convention is Convention.PHYSICAL
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_rows_are_those_of_one_point_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            p = validate._draw_params(rng, 6, theta_max=math.pi)
+            rows = validate._physical_rows_at_and_without_rotation(p)
+            alone = [
+                aggregate_metrics(q, Convention.PHYSICAL)
+                for q in (p, dataclasses.replace(p, eta=0.0))
+            ]
+            assert [repr(row) for row in rows] == [repr(row) for row in alone]
 
 
 def test_a_passing_run_makes_few_scalar_closed_form_calls(monkeypatch):
