@@ -279,23 +279,15 @@ def metrics_grid(
     return _aggregates(n, gamma, r, theta, eta, convention)
 
 
-@functools.lru_cache(maxsize=32)
-def _multiplicities(n: int) -> np.ndarray:
-    """Read-only binomial multiplicities C(n, k), k = 0..n, as floats."""
-    mult = np.array([float(math.comb(n, k)) for k in range(n + 1)])
-    mult.flags.writeable = False
-    return mult
-
-
 class _ClassAxis(NamedTuple):
     """Read-only class-axis tables of one register size, a row per class k = 0..n.
 
     ``phase_exponents`` is 2k - n as complex, ``k`` and ``n_minus_k`` are
     the float exponents of the class powers (numpy raises a float to an
     int exponent through the same float power loop, so the bits are those
-    of int exponents) and ``multiplicities`` is C(n, k).  Each has shape
-    (n + 1, 1, ..., 1), with ``rank`` trailing axes to broadcast against
-    the points.
+    of int exponents) and ``multiplicities`` is the binomial C(n, k) as a
+    float.  Each has shape (n + 1, 1, ..., 1), with ``rank`` trailing axes
+    to broadcast against the points.
     """
 
     phase_exponents: np.ndarray
@@ -313,12 +305,8 @@ def _class_axis(n: int, rank: int) -> _ClassAxis:
     """The :class:`_ClassAxis` of an n-qubit register against ``rank`` point axes."""
     shape = (n + 1,) + (1,) * rank
     k = np.arange(n + 1, dtype=np.float64).reshape(shape)
-    tables = _ClassAxis(
-        (2.0 * k - n).astype(np.complex128),
-        k,
-        n - k,
-        _multiplicities(n).reshape(shape),
-    )
+    mult = np.array([float(math.comb(n, j)) for j in range(n + 1)]).reshape(shape)
+    tables = _ClassAxis((2.0 * k - n).astype(np.complex128), k, n - k, mult)
     for table in tables:
         table.flags.writeable = False
     return tables
