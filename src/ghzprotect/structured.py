@@ -176,9 +176,9 @@ def _paired_complex(
     returns NaN raises :class:`DegeneracyError` when it is reached.
     """
     validate_params(p, max_qubits=max_qubits)
-    rs, thetas, etas = [np.array(axis, dtype=np.float64) for axis in zip(*points)]
+    axes = np.array(points, dtype=np.float64).T.copy()  # a contiguous row per axis
     totals, fids, qfis = _aggregates(
-        p.n_qubits, p.gamma, rs, thetas, etas, convention, paired=True
+        p.n_qubits, p.gamma, axes[0], axes[1], axes[2], convention, paired=True
     )
     for (r, theta, eta), total, fid, qfi in zip(
         points, totals.tolist(), fids.tolist(), qfis.tolist()
