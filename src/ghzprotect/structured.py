@@ -366,8 +366,7 @@ def _closed_forms(
     vr_n = vr**n
     w = np.sin(theta) / 2.0 * np.sqrt(kept)
     if convention is Convention.PAPER:
-        # e^(2k-n), a row per class
-        phase = np.exp(1j * eta * axis.phase_exponents)
+        phase = np.exp(1j * eta * axis.phase_exponents)  # e^(2k-n), a row per class
         e_back = np.exp(-2j * eta)
     else:
         phase = np.ones(axis.k.shape[:1] + eta.shape, dtype=np.complex128)
