@@ -5,9 +5,11 @@ Walk through the protection protocol branch by branch on a small register.
 Each qubit is weakly measured, conditionally flipped, damped, flipped
 back, and conditionally rotated.  For a 3-qubit register the 8 outcome
 records collapse into 4 statistically identical classes; this script
-prints the class table, checks that the class weights sum to one, and
-cross-checks the fast tensor-product engine against the dense
-density-matrix evolution.
+prints the class table (each class's record weight from the dense
+evolution, and its term of the information sum from the structured
+kernel), checks that the class weights sum to one and that the terms sum
+to the averaged information, and cross-checks the fast tensor-product
+engine against the dense density-matrix evolution.
 
 Run:
     python3 demos/protocol_walkthrough.py
@@ -22,12 +24,10 @@ from ghzprotect import (
     ProtocolParams,
     aggregate_metrics,
     aggregate_metrics_dense,
-    branch_classes,
-    branch_elements,
-    branch_qfi,
     run_protocol_branch,
     state_export,
 )
+from ghzprotect.structured import _class_rows
 
 N_QUBITS = 3
 THETA = 1.1  # measurement strength (pi/2 = no measurement, 0 = projective)
@@ -48,27 +48,25 @@ def main() -> None:
 
     print(f"register of {N_QUBITS} qubits, theta={THETA}, eta={ETA}, r={R}")
     print()
-    print("class  pattern  multiplicity  weight        information")
+    print("class  pattern  multiplicity  weight        information term")
+    rows = _class_rows(p, convention)
     total_weight = 0.0
-    for cls in branch_classes(N_QUBITS):
-        elements = branch_elements(p, cls.k, convention)
-        weight = elements.P.real
-        info = branch_qfi(elements, N_QUBITS).real
-        total_weight += cls.multiplicity * weight
-        pattern = "0" * cls.k + "1" * (N_QUBITS - cls.k)
-        print(
-            f"k={cls.k}    {pattern}      x{cls.multiplicity}"
-            f"           {weight:.6f}      {info:.6f}"
-        )
-    print(f"\nsum of class weights: {total_weight:.12f} (should be 1)")
-
-    # The canonical record of each class must match the dense evolution.
     worst = 0.0
-    for cls in branch_classes(N_QUBITS):
-        pattern = "0" * cls.k + "1" * (N_QUBITS - cls.k)
-        dense_rho = run_protocol_branch(p, pattern, convention).rho
-        exported = state_export(p, cls.k, convention)
-        worst = max(worst, float(np.max(np.abs(dense_rho - exported))))
+    for k in range(N_QUBITS + 1):
+        multiplicity = math.comb(N_QUBITS, k)
+        pattern = "0" * k + "1" * (N_QUBITS - k)
+        run = run_protocol_branch(p, pattern, convention)
+        weight = run.probability.real
+        total_weight += multiplicity * weight
+        print(
+            f"k={k}    {pattern}      x{multiplicity}"
+            f"           {weight:.6f}      {rows.terms[k].real:.6f}"
+        )
+        # The canonical record of each class must match the dense evolution.
+        exported = state_export(p, k, convention)
+        worst = max(worst, float(np.max(np.abs(run.rho - exported))))
+    print(f"\nsum of class weights: {total_weight:.12f} (should be 1)")
+    print(f"sum of information terms: {np.add.reduce(rows.terms).real:.12f}")
     print(f"largest |dense - structured| state entry: {worst:.3e}")
 
     fast = aggregate_metrics(p, convention)

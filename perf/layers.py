@@ -6,9 +6,12 @@ Usage, from the repository root:
     python perf/layers.py --quick
 
 Each entry calls one library function at a fixed point, in loops long
-enough to time, and reports the median, the interquartile range and the
-repeat count of the per-call seconds (``timeit``, garbage collection off
-while timing).  The entries are:
+enough to time, and reports the median, the interquartile range, the
+minimum and the repeat count of the per-call wall seconds (``timeit``,
+garbage collection off while timing), and the median and interquartile
+range of the per-call CPU seconds of this process (``time.process_time``),
+which other load on the host moves less than the wall clock.  The entries
+are:
 
 - ``aggregate_metrics`` at N = 10, 100 and 1000, under both conventions;
 - ``metrics_grid`` on a 181 x 181 (theta, eta) grid at N = 10 and 100;
@@ -38,6 +41,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 import timeit
 from pathlib import Path
 
@@ -102,15 +106,24 @@ def layers() -> dict:
 
 
 def time_call(call, repeats: int, least_s: float) -> dict:
-    """Median, interquartile range and count of per-call seconds over ``repeats``."""
+    """Per-call wall and CPU seconds over ``repeats``: medians, IQRs, the wall minimum."""
     call()  # first-call costs (caches, imports) stay out of the timings
     timer = timeit.Timer(call)
     loops = 1
     while (elapsed := timer.timeit(loops)) < least_s:
         loops = max(loops + 1, math.ceil(loops * least_s / max(elapsed, 1e-9)))
-    per_call = [total / loops for total in timer.repeat(repeats, loops)]
-    q1, median, q3 = statistics.quantiles(per_call, n=4)
-    return {"median_s": median, "iqr_s": q3 - q1, "repeats": repeats, "loops": loops}
+    wall, cpu = [], []
+    for _ in range(repeats):
+        start = time.process_time()
+        wall.append(timer.timeit(loops) / loops)
+        cpu.append((time.process_time() - start) / loops)
+    q1, median, q3 = statistics.quantiles(wall, n=4)
+    cpu_q1, cpu_median, cpu_q3 = statistics.quantiles(cpu, n=4)
+    return {
+        "median_s": median, "iqr_s": q3 - q1, "min_s": min(wall),
+        "cpu_median_s": cpu_median, "cpu_iqr_s": cpu_q3 - cpu_q1,
+        "repeats": repeats, "loops": loops,
+    }
 
 
 def provenance() -> dict:
@@ -145,8 +158,9 @@ def main(argv=None) -> int:
         entries[name] = time_call(call, repeats, least_s)
         entry = entries[name]
         print(f"{name}: median {entry['median_s'] * 1e3:.4f} ms, "
-              f"IQR {entry['iqr_s'] * 1e3:.4f} ms ({repeats} x {entry['loops']})",
-              file=sys.stderr)
+              f"IQR {entry['iqr_s'] * 1e3:.4f} ms, min {entry['min_s'] * 1e3:.4f} ms, "
+              f"CPU median {entry['cpu_median_s'] * 1e3:.4f} ms "
+              f"({repeats} x {entry['loops']})", file=sys.stderr)
     report = {"quick": args.quick, "provenance": provenance(), "entries": entries}
     Path(args.output).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                  encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Shared parameter, branch-class, and result types, and the degeneracy rule.
+"""Shared parameter and result types, and the degeneracy rule.
 
 Pure data containers with validation, plus the cutoffs every engine
 applies; no physics computation lives here.
@@ -147,38 +147,6 @@ def validate_params(p: ProtocolParams, max_qubits: int = DEFAULT_MAX_QUBITS) -> 
             f"n_qubits={p.n_qubits} exceeds the configured maximum {max_qubits}"
         )
     return p
-
-
-@dataclass(frozen=True)
-class BranchClass:
-    """One equivalence class of measurement records.
-
-    All records with the same number k of outcome-0 qubits produce the same
-    branch state (every qubit shares the same control parameters), so a
-    class is (k, multiplicity) with multiplicity = C(N, k).
-    """
-
-    k: int
-    multiplicity: int
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"k must be non-negative, got {self.k}")
-        if self.multiplicity < 1:
-            raise ValueError(
-                f"multiplicity must be a positive integer, got {self.multiplicity}"
-            )
-
-
-def branch_classes(n: int) -> list[BranchClass]:
-    """Enumerate outcome classes k = 0..n with exact binomial multiplicities.
-
-    Uses exact integer arithmetic so the completeness identity
-    sum_k C(n, k) == 2**n holds without rounding for any n.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    return [BranchClass(k=k, multiplicity=math.comb(n, k)) for k in range(n + 1)]
 
 
 # Tolerance used by MetricsRow bound checks under the physical convention.

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -32,40 +31,6 @@ from ghzprotect.params import (
 )
 
 
-@dataclass(frozen=True)
-class BranchElements:
-    """Closed-form elements of one record class.
-
-    A and B are the populations at |0...0> and |1...1>; C and D are the
-    coherences at (|1...1>, |0...0>) and its transpose position; P is the
-    class trace (per-record weight, before multiplicity).
-    """
-
-    k: int
-    A: complex
-    B: complex
-    C: complex
-    D: complex
-    P: complex
-
-
-def _rotation_phases(convention: Convention, eta: float):
-    """Per-qubit multipliers the conditional rotation applies.
-
-    Returns (diag0, diag1, corner_lo) where diag0/diag1 are the (d0, d1)
-    multipliers for outcome 0 / outcome 1 qubits and corner_lo the
-    (outcome 0, outcome 1) multipliers of the lower (row > column)
-    coherence.  Upper-coherence multipliers are the conjugates.
-    """
-    zp = cmath.exp(1j * eta)
-    zm = cmath.exp(-1j * eta)
-    if convention is Convention.PAPER:
-        # T rho T: diagonal entries pick up t_i^2, coherences t_0 t_1 = 1.
-        return (zp, zm), (zm, zp), (1.0 + 0.0j, 1.0 + 0.0j)
-    # T rho T^dag: diagonals are untouched, coherences wind.
-    return (1.0 + 0.0j, 1.0 + 0.0j), (1.0 + 0.0j, 1.0 + 0.0j), (zm, zp)
-
-
 def _branch_pairs(p: ProtocolParams, convention: Convention):
     """The two input branches, each as (weight, outcome-0 pair, outcome-1 pair).
 
@@ -78,7 +43,10 @@ def _branch_pairs(p: ProtocolParams, convention: Convention):
     u = math.cos(p.theta / 2.0) ** 2
     v = math.sin(p.theta / 2.0) ** 2
     r = p.r
-    rot0, rot1, _ = _rotation_phases(convention, p.eta)
+    rot0 = rot1 = (1.0 + 0.0j, 1.0 + 0.0j)  # T rho T^dag leaves the diagonal
+    if convention is Convention.PAPER:  # T rho T turns it by t_i^2
+        zp, zm = cmath.exp(1j * p.eta), cmath.exp(-1j * p.eta)
+        rot0, rot1 = (zp, zm), (zm, zp)
     alpha_o0 = (u * rot0[0], 0.0 * rot0[1])
     alpha_o1 = (v * (1.0 - r) * rot1[0], v * r * rot1[1])
     beta_o0 = (v * r * rot0[0], v * (1.0 - r) * rot0[1])
@@ -89,75 +57,17 @@ def _branch_pairs(p: ProtocolParams, convention: Convention):
     )
 
 
-def branch_elements(
-    p: ProtocolParams,
-    k: int,
-    convention: Convention,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> BranchElements:
-    """Closed-form branch operator of the record class with k zeros.
-
-    A, B and P take, in each branch, the first entries, the last entries
-    or the sums of the per-qubit pairs to the powers k and n - k.
-    """
-    validate_params(p, max_qubits=max_qubits)
+def _corners(p: ProtocolParams, k: int, convention: Convention) -> tuple[complex, complex]:
+    """(C, D): the class-k corner coherences at (|1...1>, |0...0>) and its transpose."""
     n = p.n_qubits
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
-
-    (wa, a0, a1), (wb, b0, b1) = _branch_pairs(p, convention)
-
-    def over_branches(entry):
-        return (
-            wa * entry(a0) ** k * entry(a1) ** (n - k)
-            + wb * entry(b0) ** k * entry(b1) ** (n - k)
-        )
-
-    # Corner coherence: every qubit contributes sin(theta)/2 * sqrt(1-r)
-    # regardless of its record bit; only the rotation phase is conditional.
+    lo0 = lo1 = 1.0 + 0.0j  # the paper's t_0 t_1 = 1, multiplied in for the signs of zeros
+    if convention is Convention.PHYSICAL:  # a phase per qubit, by its record bit
+        lo0, lo1 = cmath.exp(-1j * p.eta), cmath.exp(1j * p.eta)
     alpha, beta = p.alpha, p.beta
-    _, _, corner_lo = _rotation_phases(convention, p.eta)
-    w = (math.sin(p.theta) / 2.0) * math.sqrt(1.0 - p.r)
-    lower = (
-        np.conj(alpha) * beta * w**n * corner_lo[0] ** k * corner_lo[1] ** (n - k)
-    )
-    upper = (
-        alpha
-        * np.conj(beta)
-        * w**n
-        * np.conj(corner_lo[0]) ** k
-        * np.conj(corner_lo[1]) ** (n - k)
-    )
-    return BranchElements(
-        k=k, C=complex(lower), D=complex(upper),
-        A=over_branches(lambda d: d[0]),
-        B=over_branches(lambda d: d[1]),
-        P=over_branches(lambda d: d[0] + d[1]),
-    )
-
-
-def branch_qfi(elements: BranchElements, n: int) -> complex:
-    """Per-record Fisher information of one class.
-
-    The normalized branch state holds corner coherence C/P between
-    populations A/P and B/P, and the collective phase winds it at rate n,
-    giving (1/P) * 4 |C|^2 n^2 / (A + B).  A class that the aggregates'
-    rule (:func:`~ghzprotect.params.class_cutoffs`) drops returns 0.
-    """
-    denom = elements.A + elements.B
-    pole_below, drop_below = class_cutoffs(abs(elements.C))
-    if abs(denom) < pole_below:
-        raise DegeneracyError(
-            f"class k={elements.k} has vanishing corner populations "
-            f"|A+B|={abs(denom)}; its information is undefined"
-        )
-    if abs(denom) < drop_below:
-        return 0.0 + 0.0j
-    if abs(elements.P) < DEGENERACY_TOL:
-        raise DegeneracyError(
-            f"class k={elements.k} has vanishing weight |P|={abs(elements.P)}"
-        )
-    return (1.0 / elements.P) * 4.0 * abs(elements.C) ** 2 * n**2 / denom
+    w = (math.sin(p.theta) / 2.0) * math.sqrt(1.0 - p.r)  # every qubit's share
+    lower = np.conj(alpha) * beta * w**n * lo0**k * lo1 ** (n - k)
+    upper = alpha * np.conj(beta) * w**n * np.conj(lo0) ** k * np.conj(lo1) ** (n - k)
+    return complex(lower), complex(upper)
 
 
 def _paired_complex(
@@ -234,14 +144,15 @@ def state_export(p: ProtocolParams, k: int, convention: Convention) -> np.ndarra
     (n + 1) x 2^n table: the weight, then, per qubit in record order (the
     first the most significant, as in the dense engine), the entry of its
     outcome-0 pair (first k qubits) or outcome-1 pair (the other n - k) at
-    the qubit's bit.  The corner coherences are C at (|1...1>, |0...0>) and D
-    at the transposed position.  Only meant for small n, where it feeds
-    comparison against the dense path: n > 16 is refused before expansion.
+    the qubit's bit; the corners come from :func:`_corners`.  Only meant for
+    small n, to compare with the dense path: n > 16 is refused first.
     """
     n = p.n_qubits
     if n > 16:
         raise ValueError(f"refusing to expand a 2^{n}-dimensional matrix")
-    elements = branch_elements(p, k, convention)
+    validate_params(p)
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in [0, {n}], got {k}")
     bits = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
     table = np.empty((2, n + 1, 2**n), dtype=np.complex128)
     for branch, (weight, o0, o1) in zip(table, _branch_pairs(p, convention)):
@@ -249,8 +160,9 @@ def state_export(p: ProtocolParams, k: int, convention: Convention) -> np.ndarra
         branch[1:] = np.take_along_axis(np.array([o0] * k + [o1] * (n - k)), bits, axis=1)
     diagonals = np.multiply.reduce(table, axis=1)
     rho = np.diag(diagonals[0] + diagonals[1])
-    rho[-1, 0] += elements.C
-    rho[0, -1] += elements.D
+    lower, upper = _corners(p, k, convention)
+    rho[-1, 0] += lower
+    rho[0, -1] += upper
     return rho
 
 
@@ -409,6 +321,41 @@ def _weight_clears_cutoff(scale: float, u_vr, q, e_back, n: int) -> bool:
     return bool(low > 0.0 and scale * low**n >= 2.0 * DEGENERACY_TOL)
 
 
+def _class_factors(n: int, axis: _ClassAxis, terms):
+    """(|C|, pole_below, drop_below, pop_a, pop_b, plus, minus, weight), a row per class.
+
+    Class k has A_k = pop_a[k] phase[k], B_k = pop_b[k] conj(phase[k]), so
+    A_k + B_k = plus[k] cos + i minus[k] sin, and weight C(n,k) 4 n^2 |C|^2.
+    """
+    c2, s2, u, q, vr_n, w, phase, degenerate = terms
+    c_abs = math.sqrt(c2 * s2) * w**n  # |C|, the same for every class
+    c_sq = c_abs * c_abs
+    pole_below, drop_below = class_cutoffs(c_abs)
+    powers = u**axis.k * q**axis.n_minus_k
+    pop_a, pop_b = c2 * powers, s2 * powers[::-1]
+    pop_a[n] += s2 * vr_n
+    pop_b[0] += c2 * vr_n
+    plus, minus = pop_a + pop_b, pop_a - pop_b
+    weight = axis.multiplicities * (4.0 * n**2 * c_sq)
+    return c_abs, pole_below, drop_below, pop_a, pop_b, plus, minus, weight
+
+
+def _paired_terms(n: int, axis: _ClassAxis, shape: tuple[int], terms):
+    """(rows, |C|, pop_a, pop_b): L paired points' class terms, in one (L, n+1) buffer."""
+    factors = _class_factors(n, axis, terms)
+    c_abs, pole_below, drop_below, pop_a, pop_b, plus, minus, weight = factors
+    phase = terms[6]
+    rows = np.empty(shape + (n + 1,), dtype=np.complex128)
+    d = rows.T  # class-first, as on a grid, over a contiguous class axis
+    np.multiply(plus, phase.real, out=d.real)
+    np.multiply(minus, phase.imag, out=d.imag)
+    size = np.abs(d)
+    d[size < drop_below] = np.inf  # a dropped class adds nothing
+    d[size < pole_below] = np.nan
+    np.divide(weight, d, out=d)
+    return rows, c_abs, pop_a, pop_b
+
+
 def _class_sum(
     n: int, axis: _ClassAxis, shape: tuple[int, ...], terms, paired: bool = False
 ) -> np.ndarray:
@@ -421,35 +368,16 @@ def _class_sum(
     adds 0 either way.
 
     With ``paired``, the L points of ``shape`` = (L,) are independent:
-    each sums its n+1 class terms in one pairwise reduction along a
-    contiguous class axis of one (L, n+1) buffer, so each has the bits it
-    has alone.  A one-point call is always paired (:func:`_aggregates`),
-    so its last bits can differ from the same point's on a larger grid.
+    each sums its n+1 class terms (:func:`_paired_terms`) in one pairwise
+    reduction along a contiguous class row, so each has the bits it has
+    alone.  A one-point call is always paired (:func:`_aggregates`), so its
+    last bits can differ from the same point's on a larger grid.
     """
-    c2, s2, u, q, vr_n, w, phase, degenerate = terms
-    c_abs = math.sqrt(c2 * s2) * w**n  # |C|, the same for every class
-    c_sq = c_abs * c_abs
-    pole_below, drop_below = class_cutoffs(c_abs)
-
-    # A_k + B_k = pop_a[k] phase[k] + pop_b[k] conj(phase[k]).
-    powers = u**axis.k * q**axis.n_minus_k
-    pop_a, pop_b = c2 * powers, s2 * powers[::-1]
-    pop_a[n] += s2 * vr_n
-    pop_b[0] += c2 * vr_n
-    plus, minus = pop_a + pop_b, pop_a - pop_b
-    weight = axis.multiplicities * (4.0 * n**2 * c_sq)
-
+    phase, degenerate = terms[6], terms[7]
     if paired:
-        rows = np.empty(shape + (n + 1,), dtype=np.complex128)
-        d = rows.T  # class-first, as on a grid, over a contiguous class axis
-        np.multiply(plus, phase.real, out=d.real)
-        np.multiply(minus, phase.imag, out=d.imag)
-        size = np.abs(d)
-        d[size < drop_below] = np.inf  # a dropped class adds nothing
-        d[size < pole_below] = np.nan
-        np.divide(weight, d, out=d)
-        qfi = np.add.reduce(rows, axis=1)
+        qfi = np.add.reduce(_paired_terms(n, axis, shape, terms)[0], axis=1)
     else:
+        _, pole_below, drop_below, _, _, plus, minus, weight = _class_factors(n, axis, terms)
         clear = _clear_classes(plus, minus, phase)
         qfi = np.zeros(shape, dtype=np.complex128)
         d = np.empty(shape, dtype=np.complex128)
@@ -465,6 +393,33 @@ def _class_sum(
     if degenerate is not None:
         qfi[degenerate] = np.nan
     return qfi
+
+
+class _ClassRows(NamedTuple):
+    """A_k, B_k, |C| and the QFI class terms of one point (see :func:`_class_rows`)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c_abs: float
+    terms: np.ndarray
+
+
+def _class_rows(p: ProtocolParams, convention: Convention) -> _ClassRows:
+    """The record classes of ``p``, k = 0..n, from the class sum of its one-point call.
+
+    The terms C(n,k) 4 n^2 |C|^2 / (A_k + B_k) are NaN at a pole and 0 where
+    :func:`~ghzprotect.params.class_cutoffs` drops the class; ``np.add.reduce``
+    of them has the bits of :func:`aggregate_complex`'s QFI wherever it returns.
+    The qubit ceiling is not checked, and no class weight P_k is formed.
+    """
+    n = p.n_qubits
+    axis = _class_axis(n, 1)
+    r, theta, eta = np.array([[p.r], [p.theta], [p.eta]])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = _closed_forms(n, p.gamma, r, theta, eta, convention, axis, False, False)[2]
+        rows, c_abs, pop_a, pop_b = _paired_terms(n, axis, (1,), terms)
+    phase = terms[6][:, 0]
+    return _ClassRows(pop_a[:, 0] * phase, pop_b[:, 0] * phase.conj(), float(c_abs[0]), rows[0])
 
 
 def _clear_classes(

@@ -44,15 +44,14 @@ from .params import (
     Engine,
     MetricsRow,
     ProtocolParams,
-    branch_classes,
 )
 from .structured import (
     _aggregates,
+    _class_rows,
+    _corners,
     _paired_complex,
     aggregate_complex,
     aggregate_metrics,
-    branch_elements,
-    branch_qfi,
     metrics_grid,
     state_export,
 )
@@ -169,7 +168,7 @@ def _check_identity_point_dense(rng) -> tuple[bool, str]:
 
 def _check_record_class_completeness(rng) -> tuple[bool, str]:
     for n in (1, 2, 3, 8, 16, 64):
-        total = sum(c.multiplicity for c in branch_classes(n))
+        total = sum(math.comb(n, k) for k in range(n + 1))
         if total != 2**n:
             return _fail(f"n={n} total={total}")
     return _ok()
@@ -301,10 +300,7 @@ def _check_documented_denominator_gap(rng) -> tuple[bool, str]:
 def _check_class_weights_collapse(rng) -> tuple[bool, str]:
     for n in (1, 3, 6, 10):
         p = _draw_params(rng, n, theta_max=math.pi)
-        total = sum(
-            cls.multiplicity * class_probability(p, cls.k)
-            for cls in branch_classes(n)
-        )
+        total = sum(math.comb(n, k) * class_probability(p, k) for k in range(n + 1))
         product_form = prob_total(p)
         if abs(total - product_form) > 1e-11:
             return _fail(f"params={p} delta={abs(total - product_form)}")
@@ -317,13 +313,14 @@ def _check_class_qfi_vs_spectral(rng) -> tuple[bool, str]:
         n = int(rng.integers(1, 4))
         p = _draw_params(rng, n, theta_max=math.pi / 2)
         k = int(rng.integers(0, n + 1))
-        elements = branch_elements(p, k, Convention.PHYSICAL)
-        if (elements.A + elements.B).real < 1e-6 or elements.P.real < 1e-6:
+        # The kernel's class term over its multiplicity and the record's weight.
+        rows = _class_rows(p, Convention.PHYSICAL)
+        run = run_protocol_branch(p, "0" * k + "1" * (n - k), Convention.PHYSICAL)
+        weight = run.probability.real
+        if (rows.a[k] + rows.b[k]).real < 1e-6 or weight < 1e-6:
             continue
-        expected = branch_qfi(elements, n).real
-        pattern = "0" * k + "1" * (n - k)
-        run = run_protocol_branch(p, pattern, Convention.PHYSICAL)
-        rho_hat = run.rho / run.probability.real
+        expected = rows.terms[k].real / (math.comb(n, k) * weight)
+        rho_hat = run.rho / weight
 
         def family(phi: float) -> np.ndarray:
             return phase_imprint(rho_hat, phi)
@@ -402,8 +399,8 @@ def _check_corner_conjugate_symmetry(rng) -> tuple[bool, str]:
         p = _draw_params(rng, n, theta_max=math.pi)
         for convention in (Convention.PAPER, Convention.PHYSICAL):
             k = int(rng.integers(0, n + 1))
-            elements = branch_elements(p, k, convention)
-            if abs(elements.D - np.conj(elements.C)) > 1e-15:
+            lower, upper = _corners(p, k, convention)
+            if abs(upper - np.conj(lower)) > 1e-15:
                 return _fail(f"params={p} k={k} convention={convention.value}")
     return _ok()
 

@@ -27,10 +27,9 @@ from ghzprotect.optimize import (
 )
 from ghzprotect.params import Convention, ProtocolParams
 from ghzprotect.structured import (
+    _class_rows,
     aggregate_complex,
     aggregate_metrics,
-    branch_elements,
-    branch_qfi,
     metrics_grid,
     state_export,
 )
@@ -150,12 +149,15 @@ def test_04_per_class_information_vs_spectral():
         n = int(rng.integers(1, 4))
         p = random_params(rng, n)
         k = int(rng.integers(0, n + 1))
-        elements = branch_elements(p, k, Convention.PHYSICAL)
-        if (elements.A + elements.B).real < 1e-6 or elements.P.real < 1e-6:
-            continue
-        expected = branch_qfi(elements, n).real
+        # The kernel's class term per record: over the multiplicity and
+        # the record's dense weight.
+        rows = _class_rows(p, Convention.PHYSICAL)
         run = run_protocol_branch(p, "0" * k + "1" * (n - k), Convention.PHYSICAL)
-        rho_hat = run.rho / run.probability.real
+        weight = run.probability.real
+        if (rows.a[k] + rows.b[k]).real < 1e-6 or weight < 1e-6:
+            continue
+        expected = rows.terms[k].real / (math.comb(n, k) * weight)
+        rho_hat = run.rho / weight
 
         def family(phi: float) -> np.ndarray:
             return phase_imprint(rho_hat, phi)

@@ -39,7 +39,7 @@ from ghzprotect.params import (
     ProtocolParams,
     class_cutoffs,
 )
-from ghzprotect.structured import aggregate_metrics, branch_elements
+from ghzprotect.structured import _class_rows, aggregate_metrics
 
 
 def make_params(**overrides):
@@ -498,8 +498,8 @@ def cancelled_class_gamma(n, k, theta, r, eta):
     """
     def gap(gamma):
         p = ProtocolParams(n_qubits=n, gamma=gamma, phi0=0.0, theta=theta, eta=eta, r=r)
-        e = branch_elements(p, k, Convention.PAPER)
-        return abs(e.A) - abs(e.B)
+        rows = _class_rows(p, Convention.PAPER)
+        return abs(rows.a[k]) - abs(rows.b[k])
 
     lo, hi = 1e-6, math.pi - 1e-6
     assert gap(lo) * gap(hi) < 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from ghzprotect import optimize, structured
+from ghzprotect import optimize, params, structured
 from ghzprotect.dense import DENSE_MAX_QUBITS, aggregate_metrics_dense, do_nothing_baseline
 from ghzprotect.optimize import (
     UNIT_PROBABILITY,
@@ -332,6 +332,29 @@ class TestUnitProbabilityMaximum:
         want = max_unit_probability_fidelity(n, gamma, r)
         res = maximize_fidelity_at_unit_probability(r, ghz(n, gamma), convention=convention)
         assert abs(res.value - want) <= 1e-9 * want
+
+
+class TestQfiBound:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 64),
+        gamma=st.floats(0.05, math.pi - 0.05),
+        r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+        objective=st.sampled_from(Objective),
+        convention=st.sampled_from(Convention),
+    )
+    def test_no_search_returns_a_qfi_outside_zero_to_n_squared(
+        self, n, gamma, r, objective, convention
+    ):
+        # The physical QFI of an n-qubit probe lies in [0, n^2]; MetricsRow
+        # checks only the lower end.  The unit-probability search pins the
+        # rotation to 0, where both conventions give the physical values.
+        results = [
+            maximize_metric(objective, r, ghz(n, gamma), convention=Convention.PHYSICAL),
+            maximize_fidelity_at_unit_probability(r, ghz(n, gamma), convention=convention),
+        ]
+        for res in results:
+            assert -params._BOUND_TOL <= res.companion.qfi <= n**2 + params._BOUND_TOL, res
 
 
 class TestParetoScan:

@@ -1,4 +1,4 @@
-"""Validation and enumeration tests for the shared parameter types."""
+"""Validation tests for the shared parameter types."""
 
 import ast
 import math
@@ -10,12 +10,10 @@ import pytest
 from ghzprotect import params
 from ghzprotect.params import (
     DEGENERACY_TOL,
-    BranchClass,
     Convention,
     Engine,
     MetricsRow,
     ProtocolParams,
-    branch_classes,
     class_cutoffs,
     validate_params,
 )
@@ -121,38 +119,6 @@ class TestValidateParams:
         with pytest.raises(ValueError) as checked:
             validate_params(p)
         assert str(checked.value) == str(built.value)
-
-
-class TestBranchClasses:
-    def test_n3_multiplicities(self):
-        classes = branch_classes(3)
-        assert [(c.k, c.multiplicity) for c in classes] == [
-            (0, 1),
-            (1, 3),
-            (2, 3),
-            (3, 1),
-        ]
-
-    def test_ascending_order_and_completeness(self):
-        for n in [1, 2, 5, 16, 64]:
-            classes = branch_classes(n)
-            assert [c.k for c in classes] == list(range(n + 1))
-            assert sum(c.multiplicity for c in classes) == 2**n
-
-    def test_multiplicities_exact_at_n64(self):
-        # Exact integers well beyond float precision.
-        classes = branch_classes(64)
-        assert classes[32].multiplicity == 1832624140942590534
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            branch_classes(0)
-
-    def test_branch_class_validation(self):
-        with pytest.raises(ValueError):
-            BranchClass(k=-1, multiplicity=1)
-        with pytest.raises(ValueError):
-            BranchClass(k=0, multiplicity=0)
 
 
 class TestMetricsRow:

@@ -16,7 +16,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ghzprotect.dense import (
@@ -29,15 +29,14 @@ from ghzprotect.params import (
     ProtocolParams,
 )
 from ghzprotect.structured import (
-    BranchElements,
     _aggregates,
     _branch_pairs,
     _class_axis,
+    _class_rows,
+    _corners,
     _paired_complex,
     aggregate_complex,
     aggregate_metrics,
-    branch_elements,
-    branch_qfi,
     metrics_grid,
     state_export,
 )
@@ -89,20 +88,22 @@ def class_sum_oracle(n, gamma, theta, eta, r, convention):
         return complex(total)
 
 
-class TestBranchElements:
+class TestClassRows:
     def test_frozen_no_measurement_no_damping(self):
-        # N=2, theta=pi/2, r=0, eta=0, balanced input, class k=0:
-        # each qubit keeps weight 1/2, nothing decays.
-        e = branch_elements(make_params(), 0, Convention.PHYSICAL)
-        np.testing.assert_allclose(e.A, 0.125, atol=1e-15)
-        np.testing.assert_allclose(e.B, 0.125, atol=1e-15)
-        np.testing.assert_allclose(e.C, 0.125, atol=1e-15)
-        np.testing.assert_allclose(e.D, 0.125, atol=1e-15)
-        np.testing.assert_allclose(e.P, 0.25, atol=1e-15)
+        # N=2, theta=pi/2, r=0, eta=0, balanced input: each qubit keeps
+        # weight 1/2, nothing decays.
+        p = make_params()
+        rows = _class_rows(p, Convention.PHYSICAL)
+        np.testing.assert_allclose(rows.a, 0.125, atol=1e-15)
+        np.testing.assert_allclose(rows.b, 0.125, atol=1e-15)
+        np.testing.assert_allclose(rows.c_abs, 0.125, atol=1e-15)
+        np.testing.assert_allclose(_corners(p, 0, Convention.PHYSICAL), 0.125, atol=1e-15)
+        np.testing.assert_allclose(np.trace(state_export(p, 0, Convention.PHYSICAL)), 0.25, atol=1e-15)
 
-    def test_diag_products_agree_with_scalars(self):
-        # A, B and P against their integer-power forms, with e the diagonal
-        # rotation phase (1 under the physical convention).
+    def test_populations_agree_with_scalars(self):
+        # A and B against their integer-power forms, and the exported
+        # trace against P's, with e the diagonal rotation phase (1 under
+        # the physical convention).
         rng = np.random.default_rng(47)
         for _ in range(20):
             p = random_params(rng, 3)
@@ -111,57 +112,102 @@ class TestBranchElements:
             q, vr = v * (1.0 - p.r), v * p.r
             for conv in Convention:
                 e = cmath.exp(1j * p.eta) if conv is Convention.PAPER else 1.0
+                rows = _class_rows(p, conv)
                 for k in range(4):
-                    el = branch_elements(p, k, conv)
                     first = c2 * u**k * q ** (3 - k) * e ** (2 * k - 3)
                     last = s2 * q**k * u ** (3 - k) * e ** (3 - 2 * k)
                     edge = (vr * e) ** 3
                     trace = c2 * (u * e) ** k * (q / e + vr * e) ** (3 - k)
                     trace += s2 * (vr * e + q / e) ** k * (u * e) ** (3 - k)
-                    np.testing.assert_allclose(el.A, first + (k == 3) * s2 * edge, atol=1e-14)
-                    np.testing.assert_allclose(el.B, last + (k == 0) * c2 * edge, atol=1e-14)
-                    np.testing.assert_allclose(el.P, trace, atol=1e-14)
+                    np.testing.assert_allclose(rows.a[k], first + (k == 3) * s2 * edge, atol=1e-14)
+                    np.testing.assert_allclose(rows.b[k], last + (k == 0) * c2 * edge, atol=1e-14)
+                    np.testing.assert_allclose(
+                        np.trace(state_export(p, k, conv)), trace, atol=1e-14
+                    )
 
     def test_corner_magnitude_k_independent(self):
+        # The exporter's corners have, at every k, the kernel's |C|.
         rng = np.random.default_rng(53)
         for _ in range(20):
             p = random_params(rng, 4)
             for conv in Convention:
-                mags = [
-                    abs(branch_elements(p, k, conv).C) for k in range(5)
-                ]
+                mags = [abs(_corners(p, k, conv)[0]) for k in range(5)]
                 np.testing.assert_allclose(
-                    mags, mags[0], atol=1e-12,
+                    mags, _class_rows(p, conv).c_abs, rtol=1e-14, atol=1e-12,
                     err_msg="corner magnitude must not depend on the record",
                 )
 
+    def test_pure_balanced_classes(self):
+        # theta=pi/2, r=0, eta=0: every normalized branch state is the pure
+        # balanced superposition, with n^2 per record, and each of the
+        # C(n, k) records weighs 2^-n.
+        terms = _class_rows(make_params(), Convention.PHYSICAL).terms
+        np.testing.assert_allclose(terms, [1.0, 2.0, 1.0], atol=1e-13)
+
+    def test_no_coherence_no_information(self):
+        rows = _class_rows(make_params(theta=0.0, r=0.4), Convention.PHYSICAL)
+        assert rows.c_abs == 0.0
+        assert np.all(rows.terms == 0.0)
+
+    def test_a_class_pole_reads_nan(self):
+        # The paper convention's closed-form pole theta_p(r) at eta = 7 pi/4:
+        # the even classes k = 2..8 have cancelled corner populations, and
+        # the one-point call raises.
+        r = 0.2
+        p = ProtocolParams(
+            n_qubits=10, gamma=math.pi / 2, phi0=0.0,
+            theta=2.0 * math.atan((1.0 - r) ** -0.5), eta=7.0 * math.pi / 4, r=r,
+            extended_theta=True,
+        )
+        terms = _class_rows(p, Convention.PAPER).terms
+        assert np.isnan(terms).tolist() == [k in (2, 4, 6, 8) for k in range(11)]
+        with pytest.raises(DegeneracyError, match="vanishing corner populations"):
+            aggregate_complex(p, Convention.PAPER)
+
+    def test_classes_sum_to_the_aggregate_at_cancelled_populations(self):
+        # Classes 1..5 have |A+B| from 3.0e-14 to 6.3e-14, next to |C| =
+        # 3.04e-14, and class 4 has cancelled below |C|: its term is 0.
+        terms = _class_rows(_NEAR_CANCELLED, Convention.PAPER).terms
+        _, _, qfi = aggregate_complex(_NEAR_CANCELLED, Convention.PAPER)
+        assert terms[4] == 0.0
+        assert np.all(terms[[1, 2, 3, 5]] != 0.0)
+        assert np.add.reduce(terms).tobytes() == np.complex128(qfi).tobytes()
+
+
+class TestStateExport:
     def test_upper_corner_conjugate_of_lower(self):
         rng = np.random.default_rng(59)
         for _ in range(10):
             p = random_params(rng, 3)
             for conv in Convention:
                 for k in range(4):
-                    e = branch_elements(p, k, conv)
-                    np.testing.assert_allclose(e.D, np.conj(e.C), atol=1e-14)
+                    lower, upper = _corners(p, k, conv)
+                    np.testing.assert_allclose(upper, np.conj(lower), atol=1e-14)
 
     def test_k_domain(self):
         with pytest.raises(ValueError, match="k must"):
-            branch_elements(make_params(), 3, Convention.PHYSICAL)
+            state_export(make_params(), 3, Convention.PHYSICAL)
         with pytest.raises(ValueError, match="k must"):
-            branch_elements(make_params(), -1, Convention.PAPER)
+            state_export(make_params(), -1, Convention.PAPER)
 
-    def test_state_export_matches_dense_branch(self):
+    def test_a_mutated_parameter_set_is_refused(self):
+        p = make_params()
+        object.__setattr__(p, "r", 1.5)
+        with pytest.raises(ValueError, match="r must lie in the unit interval"):
+            state_export(p, 0, Convention.PHYSICAL)
+
+    def test_matches_dense_branch(self):
         rng = np.random.default_rng(61)
         for n in (1, 2, 3, 4, 5, 6):
             for _ in range(5):
                 p = random_params(rng, n)
                 for conv in Convention:
                     for k in range(n + 1):
-                        e = branch_elements(p, k, conv)
+                        exported = state_export(p, k, conv)
                         pattern = "0" * k + "1" * (n - k)
                         dense_run = run_protocol_branch(p, pattern, conv)
                         np.testing.assert_allclose(
-                            state_export(p, k, conv),
+                            exported,
                             dense_run.rho,
                             atol=1e-10,
                             err_msg=(
@@ -170,10 +216,10 @@ class TestBranchElements:
                             ),
                         )
                         np.testing.assert_allclose(
-                            e.P, dense_run.probability, atol=1e-12
+                            np.trace(exported), dense_run.probability, atol=1e-12
                         )
 
-    def test_state_export_has_the_bits_of_the_kronecker_chain(self):
+    def test_has_the_bits_of_the_kronecker_chain(self):
         # The reference: each branch's weight, then np.kron with its k
         # outcome-0 pairs and its n - k outcome-1 pairs, one at a time.
         rng = np.random.default_rng(67)
@@ -189,12 +235,12 @@ class TestBranchElements:
                             vec = np.kron(vec, np.array(pair, dtype=np.complex128))
                         diagonals.append(vec)
                     want = np.diag(diagonals[0] + diagonals[1])
-                    e = branch_elements(p, k, conv)
-                    want[-1, 0] += e.C
-                    want[0, -1] += e.D
+                    lower, upper = _corners(p, k, conv)
+                    want[-1, 0] += lower
+                    want[0, -1] += upper
                     assert state_export(p, k, conv).tobytes() == want.tobytes(), (p, k, conv)
 
-    def test_state_export_size_guard(self):
+    def test_size_guard(self):
         # A 2^17 diagonal alone would take 2 MiB; the guard refuses first.
         p = make_params(n_qubits=17)
         tracemalloc.start()
@@ -212,43 +258,6 @@ _NEAR_CANCELLED = ProtocolParams(
     n_qubits=6, gamma=1.35130, phi0=0.24441, theta=2.98400,
     eta=2.59529, r=0.99356, extended_theta=True,
 )
-
-
-class TestBranchQfi:
-    def test_pure_balanced_class(self):
-        # theta=pi/2, r=0, eta=0, k=0: normalized branch state is the pure
-        # balanced superposition, so the per-record information is n^2.
-        e = branch_elements(make_params(), 0, Convention.PHYSICAL)
-        np.testing.assert_allclose(branch_qfi(e, 2), 4.0, atol=1e-13)
-
-    def test_no_coherence_no_information(self):
-        p = make_params(theta=0.0, r=0.4)
-        e = branch_elements(p, 1, Convention.PHYSICAL)
-        assert branch_qfi(e, 2) == 0.0
-
-    def test_degenerate_populations_raise(self):
-        e = BranchElements(k=0, A=0.0, B=0.0, C=0.1, D=0.1, P=1.0)
-        with pytest.raises(DegeneracyError, match="populations"):
-            branch_qfi(e, 1)
-
-    def test_degenerate_weight_raises(self):
-        e = BranchElements(k=0, A=0.2, B=0.2, C=0.1, D=0.1, P=0.0)
-        with pytest.raises(DegeneracyError, match="weight"):
-            branch_qfi(e, 1)
-
-    def test_classes_sum_to_the_aggregate_at_cancelled_populations(self):
-        # Classes 1..5 have |A+B| from 3.0e-14 to 6.3e-14, next to |C| =
-        # 3.04e-14, and class 4 has cancelled below |C|: branch_qfi drops it
-        # as the aggregate does, and weighs every other class as it does.
-        p = _NEAR_CANCELLED
-        total = sum(
-            math.comb(6, e.k) * e.P * branch_qfi(e, 6)
-            for e in (branch_elements(p, k, Convention.PAPER) for k in range(7))
-        )
-        _, _, qfi = aggregate_complex(p, Convention.PAPER)
-        assert branch_qfi(branch_elements(p, 4, Convention.PAPER), 6) == 0.0
-        assert abs(total - qfi) <= 1e-9 * abs(qfi)
-
 
 
 class TestAggregateMetrics:
@@ -692,13 +701,13 @@ def test_a_class_per_block_sums_as_all_classes_in_one_block(case, data, gamma, r
 
 def _class_term_sum(p: ProtocolParams, conv: Convention) -> float:
     """Sum over k of |C(n,k) 4 n^2 |C|^2 / (A_k + B_k)|, zero populations left out."""
-    n, total = p.n_qubits, 0.0
-    for k in range(n + 1):
-        elements = branch_elements(p, k, conv, max_qubits=n)
-        size = abs(elements.A + elements.B)
-        if size > 0.0:
-            total += math.comb(n, k) * 4.0 * n * n * abs(elements.C) ** 2 / size
-    return total
+    n, rows = p.n_qubits, _class_rows(p, conv)
+    sizes = np.abs(rows.a + rows.b)
+    return sum(
+        math.comb(n, k) * 4.0 * n * n * rows.c_abs**2 / size
+        for k, size in enumerate(sizes.tolist())
+        if size > 0.0
+    )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -738,6 +747,43 @@ def test_scalar_path_matches_a_multi_point_grid(n, gamma, r, thetas, etas, conv)
         if gap:
             bound = 2.0 * (n + 1) * 2.0**-53 * _class_term_sum(p, conv)
             assert abs(gap.real) <= bound and abs(gap.imag) <= bound
+
+
+#: The paper convention's closed-form pole at r = 0.2 (TestClassRows).
+_POLE_R = 0.2
+_POLE_THETA = 2.0 * math.atan((1.0 - _POLE_R) ** -0.5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(n=10, gamma=math.pi / 2, theta=_POLE_THETA, eta=7 * math.pi / 4, r=_POLE_R,
+         conv=Convention.PAPER)
+@example(n=6, gamma=_NEAR_CANCELLED.gamma, theta=_NEAR_CANCELLED.theta,
+         eta=_NEAR_CANCELLED.eta, r=_NEAR_CANCELLED.r, conv=Convention.PAPER)
+@given(
+    n=st.integers(1, 64),
+    gamma=st.floats(0.01, math.pi - 0.01),
+    theta=_ANGLE,
+    eta=_ROTATION,
+    r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+    conv=st.sampled_from(list(Convention)),
+)
+def test_the_class_rows_are_the_terms_of_the_one_point_call(n, gamma, theta, eta, r, conv):
+    # The class terms reduce to the bits of the one-point QFI wherever
+    # that call returns, and hold a NaN exactly where it raises for a
+    # class pole.  Where the total weight vanishes it raises first.
+    p = ProtocolParams(
+        n_qubits=n, gamma=gamma, phi0=0.0, theta=theta, eta=eta, r=r, extended_theta=True
+    )
+    terms = _class_rows(p, conv).terms
+    try:
+        _, _, qfi = aggregate_complex(p, conv)
+    except DegeneracyError as exc:
+        if "total record weight" not in str(exc):
+            assert "vanishing corner populations" in str(exc)
+            assert np.isnan(terms).any()
+        return
+    assert not np.isnan(terms).any()
+    assert np.add.reduce(terms).tobytes() == np.complex128(qfi).tobytes()
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

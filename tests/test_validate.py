@@ -3,7 +3,8 @@
 Three checks evaluate the structured kernel or a closed form once over a
 grid instead of once per point.  Their reports must read as the per-point
 loops they replaced did, on a pass and on a failure, and the calls are
-counted.
+counted.  The class checks read the kernel's class rows and the exporter's
+corners: a perturbed value fails them, naming its point.
 """
 
 import dataclasses
@@ -198,6 +199,71 @@ class TestDenseStatesCheck:
         monkeypatch.setattr(validate, "state_export", perturbed)
         result = self.check(np.random.default_rng(0))
         assert result == (False, f"params={drawn['p']} convention={convention.value} k={k}")
+
+
+class TestClassInformationCheck:
+    check = staticmethod(validate._check_class_qfi_vs_spectral)
+
+    @staticmethod
+    def draws(seed, count):
+        """The check's first ``count`` (params, k) draws, replayed from its seed."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(count):
+            n = int(rng.integers(1, 4))
+            p = validate._draw_params(rng, n, theta_max=math.pi / 2)
+            out.append((p, int(rng.integers(0, n + 1))))
+        return out
+
+    def test_a_pass_reads_the_kernel_rows_once_a_draw(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(validate, "_class_rows", counting(calls, validate._class_rows))
+        assert self.check(np.random.default_rng(0)) == (True, "")
+        assert len(calls) >= 30  # one a draw; a skipped draw takes another
+        assert calls == [(p, Convention.PHYSICAL) for p, _ in self.draws(0, len(calls))]
+
+    @pytest.mark.parametrize("target", [0, 9, 29])
+    def test_a_failure_names_the_perturbed_point(self, monkeypatch, target):
+        rows_of = validate._class_rows
+        p_target, k = self.draws(0, target + 1)[target]
+        calls = []
+
+        def perturbed(p, convention):
+            rows = rows_of(p, convention)
+            calls.append(p)
+            if len(calls) == target + 1:
+                assert p == p_target
+                rows.terms[k] += 1e-2 * abs(rows.terms[k]) + 1e-3
+            return rows
+
+        monkeypatch.setattr(validate, "_class_rows", perturbed)
+        passed, detail = self.check(np.random.default_rng(0))
+        assert not passed
+        assert detail.startswith(f"params={p_target} k={k} expected=")
+        assert len(calls) == target + 1
+
+
+class TestCornerSymmetryCheck:
+    check = staticmethod(validate._check_corner_conjugate_symmetry)
+
+    @pytest.mark.parametrize(
+        "n, convention, k",
+        [(7, Convention.PAPER, 5), (4, Convention.PHYSICAL, 1), (2, Convention.PHYSICAL, 0)],
+    )
+    def test_a_failure_names_the_perturbed_point(self, monkeypatch, n, convention, k):
+        corners = validate._corners
+        drawn = {}
+
+        def perturbed(p, class_k, class_convention):
+            lower, upper = corners(p, class_k, class_convention)
+            if (p.n_qubits, class_convention, class_k) == (n, convention, k):
+                drawn["p"] = p
+                upper += 1e-14
+            return lower, upper
+
+        monkeypatch.setattr(validate, "_corners", perturbed)
+        result = self.check(np.random.default_rng(0))
+        assert result == (False, f"params={drawn['p']} k={k} convention={convention.value}")
 
 
 class TestUnitWeightCheck:
