@@ -15,7 +15,7 @@ are:
 
 - ``aggregate_metrics`` at N = 10, 100 and 1000, under both conventions;
 - ``metrics_grid`` on a 181 x 181 (theta, eta) grid at N = 10 and 100;
-- ``aggregate_metrics_dense`` at N = 4 and 6;
+- ``aggregate_metrics_dense`` at N = 4, 6, 8 and 10;
 - one ``maximize_metric`` call at the CLI's ``optimize`` defaults under
   each convention.
 
@@ -91,7 +91,7 @@ def layers() -> dict:
                     n, CLI_GAMMA, 0.0, POINT[2], thetas, etas, conv
                 )
             )
-    for n in (4, 6):
+    for n in (4, 6, 8, 10):
         for conv in Convention:
             p = _params(n)
             calls[f"dense.aggregate_metrics_dense.n{n}.{conv.value}"] = (

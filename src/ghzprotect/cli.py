@@ -157,9 +157,12 @@ def _convert(key: str, raw: str):
         return raw
     if kind is int:
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ConfigError(f"key {key!r} expects an integer, got {raw!r}")
+        if key == "seed" and value < 0:  # numpy's refusal would name no key
+            raise ConfigError(f"key {key!r} must be non-negative, got {value}")
+        return value
     if kind is float:
         try:
             value = float(raw)

@@ -31,32 +31,6 @@ from ghzprotect.params import (
 )
 
 
-def _branch_pairs(p: ProtocolParams, convention: Convention):
-    """The two input branches, each as (weight, outcome-0 pair, outcome-1 pair).
-
-    The alpha branch descends from |0><0| with weight |alpha|^2, the beta
-    branch from |1><1| with weight |beta|^2.  Each pair is the per-qubit
-    diagonal image (d0, d1) for a qubit whose record bit is 0 or 1,
-    including the conditional-rotation phases, so the class with k zeros
-    has, in each branch, the diagonal weight * d_o0^(x k) x d_o1^(x (n-k)).
-    """
-    u = math.cos(p.theta / 2.0) ** 2
-    v = math.sin(p.theta / 2.0) ** 2
-    r = p.r
-    rot0 = rot1 = (1.0 + 0.0j, 1.0 + 0.0j)  # T rho T^dag leaves the diagonal
-    if convention is Convention.PAPER:  # T rho T turns it by t_i^2
-        zp, zm = cmath.exp(1j * p.eta), cmath.exp(-1j * p.eta)
-        rot0, rot1 = (zp, zm), (zm, zp)
-    alpha_o0 = (u * rot0[0], 0.0 * rot0[1])
-    alpha_o1 = (v * (1.0 - r) * rot1[0], v * r * rot1[1])
-    beta_o0 = (v * r * rot0[0], v * (1.0 - r) * rot0[1])
-    beta_o1 = (0.0 * rot1[0], u * rot1[1])
-    return (
-        (abs(p.alpha) ** 2, alpha_o0, alpha_o1),
-        (abs(p.beta) ** 2, beta_o0, beta_o1),
-    )
-
-
 def _corners(p: ProtocolParams, k: int, convention: Convention) -> tuple[complex, complex]:
     """(C, D): the class-k corner coherences at (|1...1>, |0...0>) and its transpose."""
     n = p.n_qubits
@@ -135,35 +109,6 @@ def aggregate_metrics(
     return MetricsRow.realized(
         (p.r, p.theta, p.eta), aggregates, convention, Engine.STRUCTURED
     )
-
-
-def state_export(p: ProtocolParams, k: int, convention: Convention) -> np.ndarray:
-    """Expand the branch operator of the class with k zeros to a dense 2^n matrix.
-
-    Each branch's diagonal entry at a record is one product down a gathered
-    (n + 1) x 2^n table: the weight, then, per qubit in record order (the
-    first the most significant, as in the dense engine), the entry of its
-    outcome-0 pair (first k qubits) or outcome-1 pair (the other n - k) at
-    the qubit's bit; the corners come from :func:`_corners`.  Only meant for
-    small n, to compare with the dense path: n > 16 is refused first.
-    """
-    n = p.n_qubits
-    if n > 16:
-        raise ValueError(f"refusing to expand a 2^{n}-dimensional matrix")
-    validate_params(p)
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
-    bits = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
-    table = np.empty((2, n + 1, 2**n), dtype=np.complex128)
-    for branch, (weight, o0, o1) in zip(table, _branch_pairs(p, convention)):
-        branch[0] = weight
-        branch[1:] = np.take_along_axis(np.array([o0] * k + [o1] * (n - k)), bits, axis=1)
-    diagonals = np.multiply.reduce(table, axis=1)
-    rho = np.diag(diagonals[0] + diagonals[1])
-    lower, upper = _corners(p, k, convention)
-    rho[-1, 0] += lower
-    rho[0, -1] += upper
-    return rho
 
 
 def metrics_grid(

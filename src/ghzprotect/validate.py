@@ -47,13 +47,13 @@ from .params import (
 )
 from .structured import (
     _aggregates,
+    _class_axis,
     _class_rows,
     _corners,
     _paired_complex,
     aggregate_complex,
     aggregate_metrics,
     metrics_grid,
-    state_export,
 )
 
 __all__ = ["CheckResult", "run_validation", "format_report"]
@@ -168,8 +168,9 @@ def _check_identity_point_dense(rng) -> tuple[bool, str]:
 
 def _check_record_class_completeness(rng) -> tuple[bool, str]:
     for n in (1, 2, 3, 8, 16, 64):
-        total = sum(math.comb(n, k) for k in range(n + 1))
-        if total != 2**n:
+        table = _class_axis(n, 1).multiplicities  # the kernel's float C(n, k)
+        total = math.fsum(table.ravel())
+        if len(table) != n + 1 or total != 2.0**n:
             return _fail(f"n={n} total={total}")
     return _ok()
 
@@ -199,11 +200,13 @@ def _check_dense_vs_structured_states(rng) -> tuple[bool, str]:
         for convention in (Convention.PAPER, Convention.PHYSICAL):
             p = _draw_params(rng, n)
             branches = run_all_branches(p, convention)
+            rows = _class_rows(p, convention)
             for k in range(n + 1):
-                # Record 0^k 1^(n-k), the first of its class in binary order.
-                dense_rho = branches[2 ** (n - k) - 1].rho
-                exported = state_export(p, k, convention)
-                if np.max(np.abs(dense_rho - exported)) > 1e-10:
+                # Record 0^k 1^(n-k)'s corners: the kernel's A_k, B_k, C and D.
+                rho = branches[2 ** (n - k) - 1].rho
+                dense = (rho[0, 0], rho[-1, -1], rho[-1, 0], rho[0, -1])
+                kernel = (rows.a[k], rows.b[k], *_corners(p, k, convention))
+                if np.max(np.abs(np.subtract(dense, kernel))) > 1e-10:
                     return _fail(f"params={p} convention={convention.value} k={k}")
     return _ok()
 

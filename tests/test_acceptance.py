@@ -28,10 +28,10 @@ from ghzprotect.optimize import (
 from ghzprotect.params import Convention, ProtocolParams
 from ghzprotect.structured import (
     _class_rows,
+    _corners,
     aggregate_complex,
     aggregate_metrics,
     metrics_grid,
-    state_export,
 )
 from ghzprotect.validate import run_validation
 
@@ -105,11 +105,15 @@ def test_02_cross_engine_equality():
         for _ in range(20):
             p = random_params(rng, n)
             for convention in (Convention.PAPER, Convention.PHYSICAL):
+                rows = _class_rows(p, convention)
                 for k in range(n + 1):
+                    # The dense record's corners are the kernel's A_k, B_k
+                    # and coherences.
                     pattern = "0" * k + "1" * (n - k)
-                    dense_rho = run_protocol_branch(p, pattern, convention).rho
-                    exported = state_export(p, k, convention)
-                    assert np.max(np.abs(dense_rho - exported)) <= 1e-10
+                    rho = run_protocol_branch(p, pattern, convention).rho
+                    dense = (rho[0, 0], rho[-1, -1], rho[-1, 0], rho[0, -1])
+                    kernel = (rows.a[k], rows.b[k], *_corners(p, k, convention))
+                    assert np.max(np.abs(np.subtract(dense, kernel))) <= 1e-10
                 dense_row = aggregate_metrics_dense(p, convention)
                 fast_row = aggregate_metrics(p, convention)
                 assert abs(dense_row.probability - fast_row.probability) <= 1e-9

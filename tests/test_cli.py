@@ -5,6 +5,7 @@ covering the config layering, serialization contract, and exit codes.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ghzprotect import cli
@@ -23,7 +25,8 @@ from ghzprotect.cli import (
     SWEEP_COLUMNS,
     main,
 )
-from ghzprotect.params import Engine
+from ghzprotect.optimize import UNIT_PROBABILITY, GridSpec, Objective, pareto_scan, sweep_r
+from ghzprotect.params import Convention, Engine, ProtocolParams
 
 PI = math.pi
 
@@ -485,7 +488,78 @@ class TestParetoCommand:
         assert code == 2
 
 
+#: The figure grid of ``test_every_figure_is_its_direct_call``: 21 x 21, one
+#: refinement pass.
+FIGURE_GRID = ["--theta-steps", "21", "--eta-steps", "21", "--refine-iters", "1"]
+
+#: Per figure id of a single r sweep: its search, and the columns after r,
+#: each with its field of a sweep result.
+SWEEP_FIGURES = {
+    "2a": (Objective.QFI, {"qfi": lambda res: res.value,
+                           "qfi_baseline": lambda res: res.baseline.qfi}),
+    "2b": (Objective.QFI, {"theta_star": lambda res: res.theta_star,
+                           "eta_star": lambda res: res.eta_star}),
+    "2c": (Objective.QFI, {"fidelity": lambda res: res.companion.fidelity,
+                           "probability": lambda res: res.companion.probability}),
+    "3a": (Objective.FIDELITY, {"fidelity": lambda res: res.value,
+                                "probability": lambda res: res.companion.probability}),
+    "3b": (Objective.FIDELITY, {"theta_star": lambda res: res.theta_star,
+                                "eta_star": lambda res: res.eta_star}),
+    "4a": (UNIT_PROBABILITY, {"probability": lambda res: res.companion.probability,
+                              "fidelity": lambda res: res.value}),
+    "4b": (UNIT_PROBABILITY, {"theta_star": lambda res: res.theta_star,
+                              "eta_star": lambda res: res.eta_star}),
+}
+
+#: Per input-angle figure id: its search, and each column's input angle.
+GAMMA_FIGURES = {
+    "6a": (Objective.QFI, {f"qfi_gamma_{deg}": math.pi * deg / 180
+                           for deg in (90, 120, 135, 150)}),
+    "6b": (UNIT_PROBABILITY, {f"fidelity_gamma_{deg}": math.pi * deg / 180
+                              for deg in (30, 45, 60, 75, 90)}),
+}
+
+
+def direct_figure(fig):
+    """(header, rows) of a figure at FIGURE_GRID, from sweep_r or pareto_scan."""
+    base = ProtocolParams(n_qubits=10, gamma=PI / 2, phi0=0.0, theta=0.0, eta=0.0, r=0.0)
+    if fig == "5":
+        grid = GridSpec(theta_range=(0.0, PI, 21), eta_range=(0.0, PI, 21), refine_iters=0)
+        scan = pareto_scan(0.5, base, grid, convention=Convention.PAPER)
+        header = ["theta", "eta", "fidelity", "probability", "fidelity_baseline"]
+        rows = [[*pt, scan.baseline_fidelity] for pt in scan.points]
+        return header, rows
+    rs = [float(r) for r in np.linspace(0.0, 1.0, 21)]
+    grid = GridSpec(theta_range=(0.0, PI, 21), eta_range=(0.0, 2 * PI, 21), refine_iters=1)
+
+    def sweep(mode, gamma=PI / 2):
+        p = dataclasses.replace(base, gamma=gamma)
+        return sweep_r(mode, rs, p, grid, convention=Convention.PAPER)
+
+    if fig in GAMMA_FIGURES:
+        mode, gammas = GAMMA_FIGURES[fig]
+        sweeps = [sweep(mode, gamma) for gamma in gammas.values()]
+        return ["r", *gammas], [[r] + [results[i].value for results in sweeps]
+                                for i, r in enumerate(rs)]
+    mode, fields = SWEEP_FIGURES[fig]
+    rows = [[res.r] + [field(res) for field in fields.values()] for res in sweep(mode)]
+    return ["r", *fields], rows
+
+
 class TestFigureCommand:
+    @pytest.mark.parametrize("fig", FIGURE_IDS)
+    def test_every_figure_is_its_direct_call(self, capsys, fig):
+        # The header and every cell, as printed, are the matching fields of
+        # one direct sweep_r or pareto_scan call at the figure's grid.
+        code, out, _ = run_cli(capsys, ["figure", "--id", fig, *FIGURE_GRID])
+        assert code == 0
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        header, rows = direct_figure(fig)
+        assert lines[0].split(",") == header
+        assert [line.split(",") for line in lines[1:]] == [
+            [format(cell, ".17g") for cell in row] for row in rows
+        ]
+
     def test_unknown_id_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["figure", "--id", "7x"])
         assert code == 2
@@ -702,6 +776,7 @@ def _rejected_values():
             texts = ("bogus",) if isinstance(kind, tuple) else refused.get(kind, ())
             for text in texts:
                 yield command, key, text
+    yield "validate", "seed", "-1"
 
 
 class TestOneDefinitionPerKey:

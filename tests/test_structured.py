@@ -10,7 +10,6 @@ import dataclasses
 import itertools
 import math
 import time
-import tracemalloc
 import warnings
 
 import mpmath
@@ -30,7 +29,6 @@ from ghzprotect.params import (
 )
 from ghzprotect.structured import (
     _aggregates,
-    _branch_pairs,
     _class_axis,
     _class_rows,
     _corners,
@@ -38,7 +36,6 @@ from ghzprotect.structured import (
     aggregate_complex,
     aggregate_metrics,
     metrics_grid,
-    state_export,
 )
 
 
@@ -98,11 +95,13 @@ class TestClassRows:
         np.testing.assert_allclose(rows.b, 0.125, atol=1e-15)
         np.testing.assert_allclose(rows.c_abs, 0.125, atol=1e-15)
         np.testing.assert_allclose(_corners(p, 0, Convention.PHYSICAL), 0.125, atol=1e-15)
-        np.testing.assert_allclose(np.trace(state_export(p, 0, Convention.PHYSICAL)), 0.25, atol=1e-15)
+        np.testing.assert_allclose(
+            run_protocol_branch(p, "11", Convention.PHYSICAL).probability, 0.25, atol=1e-15
+        )
 
     def test_populations_agree_with_scalars(self):
-        # A and B against their integer-power forms, and the exported
-        # trace against P's, with e the diagonal rotation phase (1 under
+        # A and B against their integer-power forms, and the dense record's
+        # weight against P's, with e the diagonal rotation phase (1 under
         # the physical convention).
         rng = np.random.default_rng(47)
         for _ in range(20):
@@ -121,12 +120,11 @@ class TestClassRows:
                     trace += s2 * (vr * e + q / e) ** k * (u * e) ** (3 - k)
                     np.testing.assert_allclose(rows.a[k], first + (k == 3) * s2 * edge, atol=1e-14)
                     np.testing.assert_allclose(rows.b[k], last + (k == 0) * c2 * edge, atol=1e-14)
-                    np.testing.assert_allclose(
-                        np.trace(state_export(p, k, conv)), trace, atol=1e-14
-                    )
+                    record = run_protocol_branch(p, "0" * k + "1" * (3 - k), conv)
+                    np.testing.assert_allclose(record.probability, trace, atol=1e-14)
 
     def test_corner_magnitude_k_independent(self):
-        # The exporter's corners have, at every k, the kernel's |C|.
+        # The corners have, at every k, the kernel's |C|.
         rng = np.random.default_rng(53)
         for _ in range(20):
             p = random_params(rng, 4)
@@ -174,7 +172,7 @@ class TestClassRows:
         assert np.add.reduce(terms).tobytes() == np.complex128(qfi).tobytes()
 
 
-class TestStateExport:
+class TestCorners:
     def test_upper_corner_conjugate_of_lower(self):
         rng = np.random.default_rng(59)
         for _ in range(10):
@@ -184,73 +182,27 @@ class TestStateExport:
                     lower, upper = _corners(p, k, conv)
                     np.testing.assert_allclose(upper, np.conj(lower), atol=1e-14)
 
-    def test_k_domain(self):
-        with pytest.raises(ValueError, match="k must"):
-            state_export(make_params(), 3, Convention.PHYSICAL)
-        with pytest.raises(ValueError, match="k must"):
-            state_export(make_params(), -1, Convention.PAPER)
-
-    def test_a_mutated_parameter_set_is_refused(self):
-        p = make_params()
-        object.__setattr__(p, "r", 1.5)
-        with pytest.raises(ValueError, match="r must lie in the unit interval"):
-            state_export(p, 0, Convention.PHYSICAL)
-
     def test_matches_dense_branch(self):
+        # The dense record 0^k 1^(n-k) stores, at its corners, the kernel's
+        # A_k and B_k and the two coherences of _corners.
         rng = np.random.default_rng(61)
         for n in (1, 2, 3, 4, 5, 6):
             for _ in range(5):
                 p = random_params(rng, n)
                 for conv in Convention:
+                    rows = _class_rows(p, conv)
                     for k in range(n + 1):
-                        exported = state_export(p, k, conv)
                         pattern = "0" * k + "1" * (n - k)
-                        dense_run = run_protocol_branch(p, pattern, conv)
+                        rho = run_protocol_branch(p, pattern, conv).rho
                         np.testing.assert_allclose(
-                            exported,
-                            dense_run.rho,
+                            [rho[0, 0], rho[-1, -1], rho[-1, 0], rho[0, -1]],
+                            [rows.a[k], rows.b[k], *_corners(p, k, conv)],
                             atol=1e-10,
                             err_msg=(
                                 f"class k={k} disagrees with dense record "
                                 f"{pattern} ({conv.value}, n={n})"
                             ),
                         )
-                        np.testing.assert_allclose(
-                            np.trace(exported), dense_run.probability, atol=1e-12
-                        )
-
-    def test_has_the_bits_of_the_kronecker_chain(self):
-        # The reference: each branch's weight, then np.kron with its k
-        # outcome-0 pairs and its n - k outcome-1 pairs, one at a time.
-        rng = np.random.default_rng(67)
-        for n in range(1, 11):
-            for theta, r in itertools.product((0.0, math.pi, 1.3), (0.0, 1.0, 0.35)):
-                p = random_params(rng, n, theta=theta, r=r, extended_theta=True)
-                for conv in Convention:
-                    k = int(rng.integers(0, n + 1))
-                    diagonals = []
-                    for weight, o0, o1 in _branch_pairs(p, conv):
-                        vec = np.array([weight], dtype=np.complex128)
-                        for pair in (o0,) * k + (o1,) * (n - k):
-                            vec = np.kron(vec, np.array(pair, dtype=np.complex128))
-                        diagonals.append(vec)
-                    want = np.diag(diagonals[0] + diagonals[1])
-                    lower, upper = _corners(p, k, conv)
-                    want[-1, 0] += lower
-                    want[0, -1] += upper
-                    assert state_export(p, k, conv).tobytes() == want.tobytes(), (p, k, conv)
-
-    def test_size_guard(self):
-        # A 2^17 diagonal alone would take 2 MiB; the guard refuses first.
-        p = make_params(n_qubits=17)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="refusing to expand a 2\\^17"):
-                state_export(p, 3, Convention.PAPER)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
 
 
 #: N = 6 paper-convention point whose QFI classes sit near cancellation.

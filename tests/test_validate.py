@@ -3,8 +3,8 @@
 Three checks evaluate the structured kernel or a closed form once over a
 grid instead of once per point.  Their reports must read as the per-point
 loops they replaced did, on a pass and on a failure, and the calls are
-counted.  The class checks read the kernel's class rows and the exporter's
-corners: a perturbed value fails them, naming its point.
+counted.  The class checks read the kernel's class rows, corners and
+multiplicities: a perturbed value fails them, naming its point.
 """
 
 import dataclasses
@@ -169,10 +169,11 @@ class TestDenseStatesCheck:
     check = staticmethod(validate._check_dense_vs_structured_states)
 
     def test_a_pass_walks_each_draw_once(self, monkeypatch):
-        calls = []
+        calls, row_calls = [], []
         monkeypatch.setattr(
             validate, "run_all_branches", counting(calls, validate.run_all_branches)
         )
+        monkeypatch.setattr(validate, "_class_rows", counting(row_calls, validate._class_rows))
         monkeypatch.setattr(validate, "run_protocol_branch", refuse)
         assert self.check(np.random.default_rng(0)) == (True, "")
         assert [(p.n_qubits, convention) for p, convention in calls] == [
@@ -180,25 +181,51 @@ class TestDenseStatesCheck:
             for n in (1, 2, 3, 4)
             for convention in (Convention.PAPER, Convention.PHYSICAL)
         ]
+        assert row_calls == calls
 
     @pytest.mark.parametrize(
         "n, convention, k",
         [(1, Convention.PAPER, 0), (3, Convention.PHYSICAL, 2), (4, Convention.PAPER, 4)],
     )
     def test_a_failure_names_the_perturbed_point(self, monkeypatch, n, convention, k):
-        export = validate.state_export
+        rows_of = validate._class_rows
         drawn = {}
 
-        def perturbed(p, class_k, class_convention):
-            rho = export(p, class_k, class_convention)
-            if (p.n_qubits, class_convention, class_k) == (n, convention, k):
+        def perturbed(p, class_convention):
+            rows = rows_of(p, class_convention)
+            if (p.n_qubits, class_convention) == (n, convention):
                 drawn["p"] = p
-                rho = rho + 1e-9
-            return rho
+                rows.a[k] += 1e-9
+            return rows
 
-        monkeypatch.setattr(validate, "state_export", perturbed)
+        monkeypatch.setattr(validate, "_class_rows", perturbed)
         result = self.check(np.random.default_rng(0))
         assert result == (False, f"params={drawn['p']} convention={convention.value} k={k}")
+
+
+class TestRecordClassCompletenessCheck:
+    check = staticmethod(validate._check_record_class_completeness)
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (8, 4), (64, 32), (3, None)])
+    def test_a_failure_names_the_perturbed_size(self, monkeypatch, n, k):
+        # The kernel's multiplicity of class k off by 1e-9 relative, or, for
+        # k None, its last class missing.
+        axis_of = validate._class_axis
+
+        def perturbed(size, rank):
+            axis = axis_of(size, rank)
+            if size != n:
+                return axis
+            if k is None:
+                return axis._replace(multiplicities=axis.multiplicities[:-1])
+            multiplicities = axis.multiplicities.copy()
+            multiplicities[k] *= 1.0 + 1e-9
+            return axis._replace(multiplicities=multiplicities)
+
+        monkeypatch.setattr(validate, "_class_axis", perturbed)
+        passed, detail = self.check(np.random.default_rng(0))
+        assert not passed
+        assert detail.startswith(f"n={n} total=")
 
 
 class TestClassInformationCheck:
