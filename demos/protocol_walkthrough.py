@@ -65,9 +65,9 @@ def main() -> None:
         # The canonical record's corners must match the kernel's: A_k, B_k
         # and the two coherences.
         rho = run.rho
-        dense = (rho[0, 0], rho[-1, -1], rho[-1, 0], rho[0, -1])
+        stored = (rho[0, 0], rho[-1, -1], rho[-1, 0], rho[0, -1])
         kernel = (rows.a[k], rows.b[k], *_corners(p, k, convention))
-        worst = max(worst, float(np.max(np.abs(np.subtract(dense, kernel)))))
+        worst = max(worst, float(np.max(np.abs(np.subtract(stored, kernel)))))
     print(f"\nsum of class weights: {total_weight:.12f} (should be 1)")
     print(f"sum of information terms: {np.add.reduce(rows.terms).real:.12f}")
     print(f"largest |dense - kernel| corner entry: {worst:.3e}")
