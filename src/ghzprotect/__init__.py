@@ -15,7 +15,6 @@ from ghzprotect.dense import (
     do_nothing_baseline,
     ghz_state,
     ghz_vector,
-    phase_imprint,
     qfi_general,
     run_all_branches,
     run_protocol_branch,
@@ -91,10 +90,10 @@ __all__ = [
     "metrics_closedform",
     "metrics_grid",
     "pareto_scan",
-    "phase_imprint",
     "prob_total",
     "qfi_general",
     "qfi_total",
+    "rotation_op",
     "run_all_branches",
     "run_protocol_branch",
     "run_validation",

@@ -1,13 +1,15 @@
 """Dense (literal Kraus) reference implementation of the protocol.
 
 The trusted arbiter: every record is evolved site by site with the
-operators of :mod:`ghzprotect.operators`, skipping only exact zeros.  Each
-site operator F_o E F_o M_o is diagonal or has a single entry, so from the
-input's corners a branch state's nonzeros lie on the diagonal and the two
-off-diagonal corners; a state is stored as those 2^N + 2 entries, each with
-the bits of the literal matrix products.  :func:`_walk` advances all record
-prefixes of a tree level in one numpy batch.  A 2^N x 2^N matrix is built
-only on demand (:attr:`BranchRun.rho`, up to N = 6).
+operators of :mod:`ghzprotect.operators`, skipping only exact zeros.  The
+engine's one structural rule: each site term F_o E_j F_o M_o is diagonal or
+has a single nonzero entry, and a term that is neither is refused with a
+ValueError on every call.  So from the input's corners a branch state's
+nonzeros lie on the diagonal and the two off-diagonal corners; a state is
+stored as those 2^N + 2 entries, each with the bits of the literal matrix
+products.  :func:`_walk` advances all record prefixes of a tree level in
+one numpy batch.  A 2^N x 2^N matrix is built only on demand
+(:attr:`BranchRun.rho`, up to N = 6).
 """
 
 from __future__ import annotations
@@ -42,17 +44,14 @@ class BranchRun:
 
     ``probability`` is the trace of the unnormalized branch state, complex
     under the two-sided convention for eta != 0; ``rho`` is that state as a
-    2^N x 2^N matrix, given as one or as a function that builds it.  The
-    engine's runs build it on each access, up to N = 6 (ValueError above).
+    2^N x 2^N matrix, built by the given function on each access (the
+    engine's runs build it up to N = 6, ValueError above).
     """
 
     __slots__ = ("pattern", "probability", "_rho")
 
     def __init__(
-        self,
-        pattern: str,
-        probability: complex,
-        rho: np.ndarray | Callable[[], np.ndarray],
+        self, pattern: str, probability: complex, rho: Callable[[], np.ndarray]
     ) -> None:
         self.pattern = pattern
         self.probability = probability
@@ -63,7 +62,7 @@ class BranchRun:
 
     @property
     def rho(self) -> np.ndarray:
-        return self._rho() if callable(self._rho) else self._rho
+        return self._rho()
 
 
 def ghz_vector(n: int, gamma: float, phi0: float) -> np.ndarray:
@@ -88,33 +87,6 @@ def ghz_state(n: int, gamma: float, phi0: float) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _lift(ops: np.ndarray, sites: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Embed single-qubit operators, ``ops[j]`` at site ``sites[j]``, in an N-qubit register.
-
-    Only the operators' nonzero pattern is read.  Returns (src, gather) of
-    shape (len(ops), 2^N): row i of K_j = I (x) ops[j] (x) I holds
-    ``ops[j].flat[gather[j, i]]`` in column ``src[j, i]`` and zeros
-    elsewhere (that entry is 0 for a zero row), without forming K_j.  A
-    diagonal operator gives ``src[j, i] = i``; one with its one entry at
-    (a, b) maps the rows whose site bit is a to the columns whose site bit
-    is b.  Raises ValueError, naming the site, for an operator with two
-    nonzero entries in a row, which this form cannot hold.
-    """
-    nonzero = ops != 0
-    crowded = nonzero.sum(axis=2).max(axis=1) > 1
-    if crowded.any():
-        j = int(np.argmax(crowded))
-        raise ValueError(
-            f"operator at site {sites[j]} has two nonzero entries in a row, "
-            f"got nonzero pattern {nonzero[j].astype(int).tolist()}"
-        )
-    shift = (n - 1 - sites)[:, None]
-    index = np.arange(2**n)
-    bit = (index >> shift) & 1  # each row's bit at the site
-    col = np.take_along_axis(nonzero.argmax(axis=2), bit, axis=1)  # 0 if none
-    return index + ((col - bit) << shift), 2 * bit + col
-
-
 def _pattern_bits(pattern: str, n: int) -> list[int]:
     if len(pattern) != n or any(ch not in "01" for ch in pattern):
         raise ValueError(
@@ -129,15 +101,6 @@ def _positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.arange(dim + 2), np.arange(dim + 2)
     rows[dim:], cols[dim:] = (0, dim - 1), (dim - 1, 0)
     return rows, cols
-
-
-def _stored_index(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Where each (row, col) is stored; 2^N + 2, a slot that holds 0, if nowhere."""
-    dim = rows.shape[-1] - 2
-    index = np.where(rows == cols, rows, dim + 2)
-    index[(rows == 0) & (cols == dim - 1)] = dim
-    index[(rows == dim - 1) & (cols == 0)] = dim + 1
-    return index
 
 
 def _kraus_ops(
@@ -156,38 +119,36 @@ def _site_structure(
     """Read-only (index, left, right) gather tables of :func:`_site_terms`.
 
     ``nonzero`` is ``terms != 0``, flattened, for the four single-qubit
-    terms ``terms[o, j]`` = F_o E_j F_o M_o, which fixes every table: all
-    operators are lifted in one call (:func:`_lift`), and ``left`` and
-    ``right`` index ``terms.reshape(-1)``.  Raises ValueError, naming the
-    site, if a term moves a stored entry to one that is not stored: the
-    entries reading a stored one through nonzero coefficients then
-    outnumber the stored entries that do.
+    terms ``terms[o, j]`` = F_o E_j F_o M_o, which fixes every table:
+    ``left`` and ``right`` index ``terms.reshape(-1)``.  A term that is
+    diagonal or has one entry holds at most one nonzero in row b, in
+    column ``src[o, j, b]``, so a stored entry reads the stored entry whose
+    site bits are those columns; it reads the zero slot, index 2^N + 2,
+    where its row or column is a zero row.  Raises ValueError, naming the
+    record bit, the term and its nonzero pattern, for any other term: it
+    could move an entry off the diagonal and the corners.
     """
-    rows, cols = _positions(n)
-    # Each lifted operator's row of terms.reshape(4, 2, 2), in (site, bit, term) order.
-    term = (2 * np.array(bits)[..., None] + np.arange(2)).reshape(-1)
-    mask = np.array(nonzero).reshape(4, 2, 2)[term]
-    sites = np.arange(n).repeat(term.size // n)
-    src, gather = _lift(mask, sites, n)
-    index = _stored_index(src[:, rows], src[:, cols])
-    live = np.take_along_axis(mask.reshape(-1, 4), gather, axis=1)
-    count, dim = src.shape
-    offsets = dim * np.arange(count)[:, None]
-    readers = np.bincount((src + offsets)[live], minlength=count * dim)
-    readers = readers.reshape(count, dim)
-    reached = (readers[:, rows] * readers[:, cols]).sum(axis=1)
-    kept = live[:, rows] & live[:, cols] & (index < dim + 2)
-    leaks = reached != np.count_nonzero(kept, axis=1)
-    if leaks.any():
+    mask = np.array(nonzero).reshape(2, 2, 2, 2)
+    refused = (mask[..., 0, 1] | mask[..., 1, 0]) & (mask.sum(axis=(2, 3)) > 1)
+    if refused.any():
+        o, j = np.argwhere(refused)[0]
         raise ValueError(
-            f"a Kraus operator at site {np.argmax(leaks) * n // count} moves "
-            f"an entry off the diagonal and the corners"
+            f"Kraus term {j} of record bit {o} is neither diagonal nor one "
+            f"entry, got nonzero pattern {mask[o, j].astype(int).tolist()}"
         )
-    gather += 4 * term[:, None]
-    shape = (n, len(bits[0]), 2, rows.size)
-    tables = (
-        index.reshape(shape), gather[:, rows].reshape(shape), gather[:, cols].reshape(shape)
+    src, live = mask.argmax(axis=3), mask.any(axis=3)  # 0 and False for a zero row
+    rows, cols = _positions(n)
+    shift = (n - 1 - np.arange(n))[:, None, None, None]
+    o, j = np.array(bits)[:, :, None, None], np.arange(2)[:, None]
+    row_bit, col_bit = (rows >> shift) & 1, (cols >> shift) & 1
+    src_row, src_col = src[o, j, row_bit], src[o, j, col_bit]
+    index = np.where(
+        live[o, j, row_bit] & live[o, j, col_bit],
+        np.arange(rows.size) + ((src_row - row_bit) << shift),
+        rows.size,
     )
+    term = 4 * (2 * o + j)
+    tables = (index, term + 2 * row_bit + src_row, term + 2 * col_bit + src_col)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -327,48 +288,28 @@ def _popcounts(dim: int) -> np.ndarray:
     return weights
 
 
-def phase_imprint(rho: np.ndarray, delta: float) -> np.ndarray:
-    """Apply the collective phase diag(1, e^{i delta})^{tensor N} to rho.
+def qfi_general(rho: np.ndarray) -> float:
+    """Quantum Fisher information of rho for the collective phase, by spectral decomposition.
 
-    This is the encoding family whose parameter the corner coherence
-    estimates: the |1...1> component acquires phase N*delta, so the
-    coherence winds at rate N.
-    """
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise ValueError(f"state dimension {dim} is not a power of two")
-    d = np.exp(1j * delta * _popcounts(dim))
-    return (d[:, None] * rho) * d.conj()[None, :]
-
-
-def qfi_general(
-    state_at: Callable[[float], np.ndarray], phi0: float, step: float = 1e-5
-) -> float:
-    """Quantum Fisher information by spectral decomposition.
-
-    Makes no structural assumption about the family: differentiates
-    numerically (central difference with the given step) and evaluates
+    The family is rho(phi) = U rho U^dag with U = diag(1, e^{i phi})^{(x) N}:
+    the |1...1> component acquires phase N phi, so the corner coherence
+    winds at rate N.  Its exact derivative at phi = 0 is
+    drho_ab = i (g_a - g_b) rho_ab, g_a the number of set bits of a, and
 
         F = sum_{i,j} 2 |<i| drho |j>|^2 / (lambda_i + lambda_j)
 
-    over eigenpairs of rho(phi0), skipping pairs whose combined weight
-    falls below 1e-10 times the largest eigenvalue.
-
-    Args:
-        state_at: maps a parameter value to a (Hermitian, normalized)
-            density matrix.
-        phi0: evaluation point.
-        step: finite-difference step, validated to [1e-7, 1e-3].
+    over eigenpairs of rho, skipping pairs whose combined weight falls
+    below 1e-10 times the largest eigenvalue.  ``rho`` is a Hermitian,
+    normalized 2^N x 2^N density matrix; ValueError if its dimension is not
+    a power of two.
     """
-    if not 1e-7 <= step <= 1e-3:
-        raise ValueError(f"step must lie in [1e-7, 1e-3], got {step}")
-    rho = np.asarray(state_at(phi0), dtype=np.complex128)
+    rho = np.asarray(rho, dtype=np.complex128)
+    dim = rho.shape[0]
+    if 2 ** (dim.bit_length() - 1) != dim:
+        raise ValueError(f"state dimension {dim} is not a power of two")
+    g = _popcounts(dim)
+    drho = 1j * (g[:, None] - g[None, :]) * rho
     rho = (rho + rho.conj().T) / 2.0
-    drho = (
-        np.asarray(state_at(phi0 + step), dtype=np.complex128)
-        - np.asarray(state_at(phi0 - step), dtype=np.complex128)
-    ) / (2.0 * step)
 
     vals, vecs = np.linalg.eigh(rho)
     d_in_eig = vecs.conj().T @ drho @ vecs

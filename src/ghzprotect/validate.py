@@ -26,7 +26,6 @@ from .dense import (
     do_nothing_baseline,
     ghz_state,
     ghz_vector,
-    phase_imprint,
     qfi_general,
     run_all_branches,
     run_protocol_branch,
@@ -323,12 +322,7 @@ def _check_class_qfi_vs_spectral(rng) -> tuple[bool, str]:
         if (rows.a[k] + rows.b[k]).real < 1e-6 or weight < 1e-6:
             continue
         expected = rows.terms[k].real / (math.comb(n, k) * weight)
-        rho_hat = run.rho / weight
-
-        def family(phi: float) -> np.ndarray:
-            return phase_imprint(rho_hat, phi)
-
-        spectral = qfi_general(family, 0.0)
+        spectral = qfi_general(run.rho / weight)
         scale = max(abs(expected), 1e-6)
         if abs(spectral - expected) / scale > 1e-4:
             return _fail(
@@ -431,12 +425,7 @@ def _check_baseline_vs_dense_damping(rng) -> tuple[bool, str]:
 
 def _check_pure_state_information_bound(rng) -> tuple[bool, str]:
     for n in (1, 2, 3):
-        rho = ghz_state(n, math.pi / 2, 0.3)
-
-        def family(phi: float) -> np.ndarray:
-            return phase_imprint(rho, phi)
-
-        value = qfi_general(family, 0.0)
+        value = qfi_general(ghz_state(n, math.pi / 2, 0.3))
         if abs(value - n**2) > 1e-6:
             return _fail(f"n={n} value={value!r}")
     return _ok()

@@ -5,7 +5,6 @@ weakened to force a pass.  Tests that fail here record an honest gap
 between the claims and what the model actually yields.
 """
 
-import dataclasses
 import math
 import time
 
@@ -15,12 +14,10 @@ import pytest
 from ghzprotect.closedform import eta_opt_probability, prob_total, qfi_total
 from ghzprotect.dense import (
     aggregate_metrics_dense,
-    phase_imprint,
     qfi_general,
     run_protocol_branch,
 )
 from ghzprotect.optimize import (
-    GridSpec,
     Objective,
     maximize_fidelity_at_unit_probability,
     maximize_metric,
@@ -161,12 +158,7 @@ def test_04_per_class_information_vs_spectral():
         if (rows.a[k] + rows.b[k]).real < 1e-6 or weight < 1e-6:
             continue
         expected = rows.terms[k].real / (math.comb(n, k) * weight)
-        rho_hat = run.rho / weight
-
-        def family(phi: float) -> np.ndarray:
-            return phase_imprint(rho_hat, phi)
-
-        spectral = qfi_general(family, 0.0)
+        spectral = qfi_general(run.rho / weight)
         assert abs(spectral - expected) <= 1e-4 * max(abs(expected), 1e-6)
         done += 1
     assert time.perf_counter() - start < 30.0
