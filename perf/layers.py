@@ -17,7 +17,9 @@ are:
 - ``metrics_grid`` on a 181 x 181 (theta, eta) grid at N = 10 and 100;
 - ``aggregate_metrics_dense`` at N = 4, 6, 8 and 10;
 - one ``maximize_metric`` call at the CLI's ``optimize`` defaults under
-  each convention.
+  each convention;
+- one unit-probability ``sweep_r`` over r = 0, 0.05, ..., 1 at N = 10,
+  gamma = pi/3, paper convention: one curve of figure 6b.
 
 The output also records the git sha and dirty flag, the Python and numpy
 versions, the CPU count and the BLAS thread settings.  ``--quick`` takes
@@ -35,6 +37,7 @@ for _var in BLAS_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse
+import dataclasses
 import json
 import math
 import platform
@@ -51,7 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from ghzprotect.dense import aggregate_metrics_dense  # noqa: E402
-from ghzprotect.optimize import Objective, maximize_metric  # noqa: E402
+from ghzprotect.optimize import UNIT_PROBABILITY, Objective, maximize_metric, sweep_r  # noqa: E402
 from ghzprotect.params import Convention, ProtocolParams  # noqa: E402
 from ghzprotect.structured import aggregate_metrics, metrics_grid  # noqa: E402
 
@@ -62,6 +65,9 @@ POINT = (1.2, 0.1, 0.1)
 #: defaults are 0, pi/2 and 0).
 CLI_GAMMA, CLI_R = math.pi / 2.0, 0.5
 GRID_STEPS = 181
+#: The input angle and decay grid of one figure 6b curve, as ``sweep --r-step
+#: 0.05`` builds it.
+FIG6B_GAMMA, FIG6B_RS = math.pi / 3.0, [i * 0.05 for i in range(21)]
 
 #: (repeats, least seconds a repeat) of a full and of a quick run.
 FULL, QUICK = (21, 0.1), (9, 0.02)
@@ -102,6 +108,10 @@ def layers() -> dict:
         calls[f"optimize.maximize_metric.n10.{conv.value}"] = (
             lambda conv=conv: maximize_metric(Objective.QFI, CLI_R, base, convention=conv)
         )
+    curve = dataclasses.replace(base, gamma=FIG6B_GAMMA)
+    calls["optimize.sweep_r.unit_probability.n10.paper"] = (
+        lambda: sweep_r(UNIT_PROBABILITY, FIG6B_RS, curve)
+    )
     return calls
 
 

@@ -203,7 +203,11 @@ def _grid_values(
     fields asked for, plus the probability where the others need its
     undefined points (see :func:`~ghzprotect.structured._aggregates`): the
     fidelity only if named, the QFI class sum only if named.  Points whose
-    record-average is numerically undefined come back as NaN.
+    record-average is numerically undefined come back as NaN.  The kernel
+    forms the probability and the fidelity in float64 where every phase is
+    exactly one (the physical convention, or a rotation axis of zeros, as
+    in the unit-probability search), and those grids come back as they
+    are; a complex grid comes back as a contiguous copy of its real part.
     """
     grids = _aggregates(
         p_base.n_qubits, p_base.gamma, r, thetas, etas, convention,

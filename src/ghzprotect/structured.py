@@ -76,7 +76,7 @@ def _paired_complex(
             raise DegeneracyError(
                 f"a record class has vanishing corner populations at {where}"
             )
-        yield total, fid, qfi
+        yield complex(total), complex(fid), qfi  # real where every phase is one
 
 
 def aggregate_complex(
@@ -122,8 +122,10 @@ def metrics_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized aggregates over broadcastable theta/eta arrays.
 
-    Returns complex arrays (probability, fidelity, qfi) of the broadcast
-    shape from the kernel of the scalar path, :func:`aggregate_complex`.
+    Returns complex128 arrays (probability, fidelity, qfi) of the broadcast
+    shape from the kernel of the scalar path, :func:`aggregate_complex`;
+    where the kernel's fields are real (see :func:`_closed_forms`) they are
+    cast, with imaginary parts +0.
     Each probability and fidelity equals the scalar path's value exactly.
     The QFI does on a one-point grid, which is the scalar path's paired
     call of one point; on larger grids it can differ in the last bits,
@@ -133,7 +135,8 @@ def metrics_grid(
     sweeps can skip them.
     The aggregates do not depend on ``phi0``.
     """
-    return _aggregates(n, gamma, r, theta, eta, convention)
+    fields = _aggregates(n, gamma, r, theta, eta, convention)
+    return tuple(z.astype(np.complex128, copy=False) for z in fields)
 
 
 class _ClassAxis(NamedTuple):
@@ -214,6 +217,15 @@ def _closed_forms(
     vr^n, w), the phases e^(2k-n) and the |P| < 1e-13 mask.  Without the
     probability and the fidelity, P is not formed when a bound shows that
     no point reaches the mask; the mask is then None.
+
+    The phases are float64 ones wherever every phase is exactly one: under
+    the physical convention, and under the paper convention when every
+    eta is 0.  P and F are then float64 too, with the bits of the complex
+    forms' real parts, whose imaginary parts are all zero: a complex
+    product with zero imaginary parts rounds its real part as the real
+    product does, and numpy's complex quotient x / (P + 0i) rounds as
+    x * (1/P), not as x / P, which is how the real F is formed.  Elsewhere
+    they are complex128.
     """
     c2, s2 = math.cos(gamma / 2.0) ** 2, math.sin(gamma / 2.0) ** 2
     half = theta / 2.0
@@ -222,11 +234,12 @@ def _closed_forms(
     q, vr = v * kept, v * r
     vr_n = vr**n
     w = np.sin(theta) / 2.0 * np.sqrt(kept)
-    if convention is Convention.PAPER:
+    rotated = convention is Convention.PAPER and np.count_nonzero(eta) > 0
+    if rotated:
         phase = np.exp(1j * eta * axis.phase_exponents)  # e^(2k-n), a row per class
         e_back = np.exp(-2j * eta)
-    else:
-        phase = np.ones(axis.k.shape[:1] + eta.shape, dtype=np.complex128)
+    else:  # every phase is exactly one: real arithmetic from here on
+        phase = np.ones(axis.k.shape[:1] + eta.shape)
         e_back = phase[0]
     e_n = phase[-1]
 
@@ -244,7 +257,10 @@ def _closed_forms(
             coherence_n = (2.0 * w * np.cos(eta)) ** n
         fid_num = (c2 * c2 + s2 * s2) * e_n * _int_power(u + q_back, n)
         fid_num += 2.0 * c2 * s2 * (vr_n * e_n + coherence_n)
-        fid = fid_num / p_total
+        if rotated:
+            fid = fid_num / p_total
+        else:  # numpy's complex quotient by (P + 0i) multiplies by 1 / P
+            fid = fid_num * (1.0 / p_total)
         fid[degenerate] = np.nan
     if probability:
         p_total[degenerate] = np.nan
@@ -326,13 +342,17 @@ def _class_sum(
         clear = _clear_classes(plus, minus, phase)
         qfi = np.zeros(shape, dtype=np.complex128)
         d = np.empty(shape, dtype=np.complex128)
+        if not clear.all():  # buffers for the cutoffs, reused by every class
+            size, below = np.empty(shape), np.empty(shape, dtype=bool)
         for j in range(n + 1):
             np.multiply(plus[j], phase[j].real, out=d.real)
             np.multiply(minus[j], phase[j].imag, out=d.imag)
             if not clear[j]:
-                size = np.abs(d)
-                d[size < drop_below] = np.inf  # a dropped class adds nothing
-                d[size < pole_below] = np.nan
+                np.abs(d, out=size)
+                np.less(size, drop_below, out=below)
+                np.copyto(d, np.inf, where=below)  # a dropped class adds nothing
+                np.less(size, pole_below, out=below)
+                np.copyto(d, np.nan, where=below)
             np.divide(weight[j], d, out=d)
             qfi += d  # in place, without two grid temporaries
     if degenerate is not None:
@@ -403,7 +423,7 @@ def _aggregates(
     probability: bool = True,
     paired: bool = False,
 ) -> tuple[Optional[np.ndarray], ...]:
-    """Complex (probability, fidelity, qfi) over broadcast r/theta/eta, NaN if undefined.
+    """(probability, fidelity, qfi) over broadcast r/theta/eta, NaN if undefined.
 
     With u = cos^2(theta/2), q = sin^2(theta/2) (1-r) and e = e^{i eta} (paper)
     or 1 (physical), class k has corner populations A_k ~ c2 u^k q^(n-k)
@@ -423,6 +443,12 @@ def _aggregates(
     reaches the mask.  Without the class sum the phases cover class n
     alone.  :func:`metrics_grid` asks for every field; the optimizer's
     grids ask only for the fields their search reads.
+
+    The QFI is complex128.  The probability and the fidelity are float64
+    where every phase is exactly one and complex128 elsewhere, with the
+    same bits in their real parts (:func:`_closed_forms`);
+    :func:`metrics_grid` and :func:`_paired_complex` return them as
+    complex.
 
     With ``paired``, r, theta and eta are 1-D arrays of one length L, used
     as given, and point i is (r[i], theta[i], eta[i]): each point's QFI has

@@ -423,7 +423,8 @@ def test_probability_fidelity_over_an_r_axis_is_the_grid_at_each_r(
 ):
     # One call without the class sum, with r along its own axis, gives row
     # by row the very bits of metrics_grid's probability and fidelity at
-    # that r.
+    # that r.  The kernel's fields are real where every phase is one, and
+    # metrics_grid casts them to complex.
     thetas = np.array(thetas)
     etas = np.full(thetas.shape, eta)
     prob, fid, qfi = _aggregates(
@@ -433,8 +434,8 @@ def test_probability_fidelity_over_an_r_axis_is_the_grid_at_each_r(
     assert prob.shape == fid.shape == (len(rs), thetas.size)
     for i, r in enumerate(rs):
         grid_prob, grid_fid, _ = metrics_grid(n, gamma, 0.0, r, thetas, etas, conv)
-        assert _same_bits(prob[i], grid_prob)
-        assert _same_bits(fid[i], grid_fid)
+        assert _same_bits(prob[i].astype(np.complex128), grid_prob)
+        assert _same_bits(fid[i].astype(np.complex128), grid_fid)
 
 
 def _paired_outcomes(p, points, conv):
@@ -500,6 +501,84 @@ def test_a_large_paired_batch_keeps_the_bits_of_each_point(conv):
     ]
     p = ProtocolParams(n_qubits=300, gamma=1.1, phi0=0.3, theta=0.0, eta=0.0, r=0.0)
     assert _paired_outcomes(p, points, conv) == _scalar_outcomes(p, points, conv)
+
+
+_THETA_WITH_ENDS = st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi]))
+_NONZERO_ROTATION = st.floats(1e-3, 2 * math.pi)
+
+
+class TestRealWhereEveryPhaseIsOne:
+    """Where every phase is exactly one, the kernel's real arithmetic has the bits of the complex."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 64),
+        gamma=st.floats(0.01, math.pi - 0.01),
+        r=_R,
+        thetas=st.lists(_THETA_WITH_ENDS, min_size=2, max_size=6),
+        zero=st.sampled_from([0.0, -0.0]),
+        eta=_NONZERO_ROTATION,
+    )
+    def test_a_zero_rotation_grid_is_that_column_of_a_complex_grid(
+        self, n, gamma, r, thetas, zero, eta
+    ):
+        # Two or more points, so both grids add their classes in order of k.
+        thetas = np.array(thetas)[:, None]
+        alone = metrics_grid(n, gamma, 0.0, r, thetas, np.array([[zero]]), Convention.PAPER)
+        mixed = metrics_grid(
+            n, gamma, 0.0, r, thetas, np.array([[zero, eta]]), Convention.PAPER
+        )
+        for got, column in zip(alone, mixed):
+            column = np.ascontiguousarray(column[:, :1])
+            assert got.dtype == np.complex128
+            assert got.tobytes() == column.tobytes()
+            assert np.all(column.imag[~np.isnan(column)] == 0.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 64),
+        gamma=st.floats(0.01, math.pi - 0.01),
+        points=st.lists(st.tuples(_R, _THETA_WITH_ENDS), min_size=1, max_size=6),
+        extra=st.tuples(_R, _THETA_WITH_ENDS, _NONZERO_ROTATION),
+    )
+    def test_a_zero_rotation_batch_keeps_its_bits_beside_a_rotated_point(
+        self, n, gamma, points, extra
+    ):
+        p = ProtocolParams(n_qubits=n, gamma=gamma, phi0=0.0, theta=0.0, eta=0.0, r=0.0)
+        points = [(r, theta, 0.0) for r, theta in points]
+        alone = _paired_outcomes(p, points, Convention.PAPER)
+        mixed = _paired_outcomes(p, points + [extra], Convention.PAPER)
+        assert mixed[: len(points)] == alone
+        for outcome in alone:
+            if isinstance(outcome, bytes):
+                assert not np.frombuffer(outcome, dtype=np.complex128).imag.any()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 64),
+        gamma=st.floats(0.01, math.pi - 0.01),
+        r=_R,
+        thetas=st.lists(_THETA_WITH_ENDS, min_size=1, max_size=6),
+    )
+    def test_the_conventions_agree_bit_for_bit_without_rotation(self, n, gamma, r, thetas):
+        grids = [
+            metrics_grid(n, gamma, 0.0, r, np.array(thetas), np.zeros(1), conv)
+            for conv in Convention
+        ]
+        for paper, physical in zip(*grids):
+            assert paper.tobytes() == physical.tobytes()
+        p = ProtocolParams(n_qubits=n, gamma=gamma, phi0=0.0, theta=0.0, eta=0.0, r=0.0)
+        points = [(r, theta, 0.0) for theta in thetas]
+        paper, physical = (_paired_outcomes(p, points, conv) for conv in Convention)
+        assert paper == physical
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_the_api_stays_complex_without_rotation(self, conv):
+        thetas = np.linspace(0.0, math.pi, 5)
+        for grid in metrics_grid(10, 1.1, 0.0, 0.3, thetas, 0.0, conv):
+            assert grid.dtype == np.complex128
+        values = aggregate_complex(make_params(n_qubits=10, theta=1.2, r=0.3), conv)
+        assert all(type(value) is complex for value in values)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -600,7 +679,9 @@ def test_each_computed_field_has_the_bits_of_the_full_grid(
     n, gamma, r, size, windows, conv
 ):
     # Whatever fields a caller asks for, each one computed is metrics_grid's
-    # field bit for bit, NaN included, and each one skipped is None.
+    # field bit for bit, NaN included, and each one skipped is None.  The
+    # kernel's fields are real where every phase is one, and metrics_grid
+    # casts them to complex.
     theta_window, eta_window = windows
     thetas = np.linspace(*theta_window, size[0])[:, None]
     etas = np.linspace(*eta_window, size[1])[None, :]
@@ -613,7 +694,7 @@ def test_each_computed_field_has_the_bits_of_the_full_grid(
         )
         for want, got, expected in zip((probability, fidelity, qfi), part, full):
             if want:
-                assert _same_bits(got, expected)
+                assert _same_bits(got.astype(np.complex128), expected)
             else:
                 assert got is None
 
